@@ -344,7 +344,7 @@ type BatchResponse struct {
 	Failed    int           `json:"failed"`
 }
 
-// RecommendBatch fans up to the server's configured limit of requests
+// RecommendBatch fans up to the server's limit (256) of requests
 // through the concurrent core in one HTTP round trip. Per-item failures are
 // reported in Results without failing the call.
 func (c *Client) RecommendBatch(ctx context.Context, items []RecommendRequest) (*BatchResponse, error) {

@@ -46,7 +46,7 @@ func TestFacadeHTTPHandler(t *testing.T) {
 	srv := httptest.NewServer(crowdplanner.NewHTTPHandler(scn.System))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/api/health")
+	resp, err := http.Get(srv.URL + "/v1/health")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFacadeHTTPHandler(t *testing.T) {
 	body, _ := json.Marshal(map[string]any{
 		"from": trip.Route.Source(), "to": trip.Route.Dest(), "depart_min": 510,
 	})
-	rec, err := http.Post(srv.URL+"/api/recommend", "application/json", bytes.NewReader(body))
+	rec, err := http.Post(srv.URL+"/v1/recommend", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

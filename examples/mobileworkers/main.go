@@ -37,9 +37,12 @@ func main() {
 		"from": trip.Route.Source(), "to": trip.Route.Dest(),
 		"depart_min": float64(trip.Depart),
 	})
-	resp, err := http.Post(srv.URL+"/api/recommend/async", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(srv.URL+"/v1/recommend/async", "application/json", bytes.NewReader(body))
 	if err != nil {
 		log.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		log.Fatalf("publish: status %d", resp.StatusCode)
 	}
 	var pub struct {
 		Resolved *json.RawMessage `json:"resolved"`
@@ -73,9 +76,12 @@ func main() {
 
 	for round := 1; ; round++ {
 		// Poll the task state (as a coordinator would).
-		st, err := http.Get(fmt.Sprintf("%s/api/tasks/%d", srv.URL, pub.Ticket.TaskID))
+		st, err := http.Get(fmt.Sprintf("%s/v1/tasks/%d", srv.URL, pub.Ticket.TaskID))
 		if err != nil {
 			log.Fatal(err)
+		}
+		if st.StatusCode != http.StatusOK {
+			log.Fatalf("task state: status %d", st.StatusCode)
 		}
 		var state struct {
 			Ticket struct {
@@ -106,7 +112,7 @@ func main() {
 		for _, wid := range state.Ticket.AssignedWorkers {
 			ans, _ := json.Marshal(map[string]any{"worker": wid, "yes": truth[landmark.ID(q)]})
 			r, err := http.Post(
-				fmt.Sprintf("%s/api/tasks/%d/answer", srv.URL, pub.Ticket.TaskID),
+				fmt.Sprintf("%s/v1/tasks/%d/answer", srv.URL, pub.Ticket.TaskID),
 				"application/json", bytes.NewReader(ans))
 			if err != nil {
 				log.Fatal(err)
@@ -121,6 +127,9 @@ func main() {
 			r.Body.Close()
 			if r.StatusCode == http.StatusConflict {
 				continue // question advanced while we were answering
+			}
+			if r.StatusCode != http.StatusOK {
+				log.Fatalf("answer: status %d", r.StatusCode)
 			}
 			fmt.Printf("  worker %d answered %v\n", wid, truth[landmark.ID(q)])
 			if reply.Resolved != nil {

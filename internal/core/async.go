@@ -143,57 +143,20 @@ func (s *System) RecommendAsync(ctx context.Context, req Request) (*Response, *P
 		return resp, nil, nil
 	}
 
-	merged := task.MergeIndistinguishable(cands)
-	if len(merged) == 1 {
-		s.logTruth(s.storeTruth(req, merged[0].Route, 0.5, false))
-		return &Response{Route: merged[0].Route, Stage: StageFallback, Confidence: 0.5, Candidates: cands}, nil, nil
-	}
-
-	s.mu.Lock()
-	s.nextTaskID++
-	id := s.nextTaskID
-	mstar := s.mstar
-	s.mu.Unlock()
-
-	tk, err := task.Generate(id, s.landmarks, merged, s.cfg.Task)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: generating task: %w", err)
-	}
-	selCfg := s.cfg.Select
-	if req.DeadlineMin > 0 {
-		selCfg.DeadlineMinutes = req.DeadlineMin
-	}
-	s.poolMu.RLock()
-	assigned := worker.TopKEligible(s.pool, mstar, tk.Questions, s.cfg.WorkersPerTask, selCfg)
-	s.poolMu.RUnlock()
-	if len(assigned) == 0 {
-		best := bestByConsensus(merged)
-		s.logTruth(s.storeTruth(req, best.Route, 0.5, false))
-		return &Response{Route: best.Route, Stage: StageFallback, Confidence: 0.5, Candidates: cands, Task: tk}, nil, nil
-	}
-
-	// Claim the workers (quota re-checked under the write lock) before any
-	// resolution path, so finishPending's decrement is always balanced.
-	assigned = s.claimWorkers(assigned, selCfg)
-	if len(assigned) == 0 {
-		best := bestByConsensus(merged)
-		s.logTruth(s.storeTruth(req, best.Route, 0.5, false))
-		return &Response{Route: best.Route, Stage: StageFallback, Confidence: 0.5, Candidates: cands, Task: tk}, nil, nil
+	ct, resp, err := s.prepareCrowdTask(req, cands)
+	if ct == nil {
+		return resp, nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		// Cancelled between claim and publication: release the claims so no
 		// pending task (or stuck Outstanding counter) leaks.
-		s.poolMu.Lock()
-		for _, r := range assigned {
-			r.Worker.Outstanding--
-		}
-		s.poolMu.Unlock()
+		s.releaseWorkers(ct.assigned)
 		return nil, nil, err
 	}
 
 	p := &PendingTask{
-		ID: id, Req: req, Task: tk, Assigned: assigned,
-		State: TaskOpen, node: tk.Tree, owner: s,
+		ID: ct.tk.ID, Req: req, Task: ct.tk, Assigned: ct.assigned,
+		State: TaskOpen, node: ct.tk.Tree, owner: s,
 		answered: make(map[worker.ID]bool),
 	}
 	// A degenerate tree (single candidate after merge handled above, but a
@@ -209,7 +172,7 @@ func (s *System) RecommendAsync(ctx context.Context, req Request) (*Response, *P
 	if s.pending == nil {
 		s.pending = make(map[int64]*PendingTask)
 	}
-	s.pending[id] = p
+	s.pending[p.ID] = p
 	p.published = true
 	rec := pendingToRecord(p)
 	s.mu.Unlock()

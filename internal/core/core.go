@@ -87,14 +87,6 @@ type Config struct {
 	// (k-shortest by travel time) to the candidate set when positive.
 	KShortestAlternatives int
 
-	// RoutingPreprocess enables the ALT landmark preprocessing tier: New
-	// builds landmark distance tables for both web-service cost models and
-	// every proposal search runs with landmark lower bounds (same routes,
-	// fewer settled nodes — the win grows with graph size). Costs a one-off
-	// build (two sweeps of one-to-all searches) and O(landmarks·nodes)
-	// memory per cost model. Off, searches fall back to straight-line A*.
-	RoutingPreprocess bool
-
 	// RouteCacheCapacity bounds the sharded LRU cache of generated
 	// candidate sets, keyed by (from, to, departure slot). Repeat OD pairs
 	// within a slot skip graph search and mining entirely; entries are
@@ -155,7 +147,6 @@ func DefaultConfig() Config {
 		TruthRadius:           600,
 		TruthSlotTol:          1,
 		KShortestAlternatives: 2,
-		RoutingPreprocess:     true,
 		RouteCacheCapacity:    4096,
 		Calibrate:             calibrate.DefaultConfig(),
 		Task:                  task.DefaultConfig(),
@@ -213,8 +204,7 @@ type System struct {
 	routes    *routecache.Cache[[]task.Candidate] // generated candidates by OD+slot
 
 	// ALT landmark tables for the two web-service cost models, built once in
-	// New when Config.RoutingPreprocess is set (nil otherwise). Immutable
-	// after construction, like the graph they index.
+	// New. Immutable after construction, like the graph they index.
 	prepDist *routing.Preprocessed
 	prepTime *routing.Preprocessed
 
@@ -287,11 +277,12 @@ func New(cfg Config, g *roadnet.Graph, lms *landmark.Set, data *traj.Dataset, po
 	// confidence query radius, so Near touches only nearby buckets.
 	s.truth.EnableSpatialIndex(g, cfg.TruthRadius)
 	// ALT landmark tables: one preprocessing pass per web-service cost
-	// model, shared by every proposal search this System runs.
-	if cfg.RoutingPreprocess {
-		s.prepDist = routing.Preprocess(g, routing.DistanceCost, routing.DefaultPrepConfig())
-		s.prepTime = routing.Preprocess(g, routing.TravelTimeCost, routing.DefaultPrepConfig())
-	}
+	// model, shared by every proposal search this System runs. Every
+	// proposal search then runs with landmark lower bounds: same routes as
+	// Dijkstra, fewer settled nodes. Preprocess clamps the landmark count to
+	// the node count, so tiny graphs build tiny tables.
+	s.prepDist = routing.Preprocess(g, routing.DistanceCost, routing.DefaultPrepConfig())
+	s.prepTime = routing.Preprocess(g, routing.TravelTimeCost, routing.DefaultPrepConfig())
 	// Mining index: endpoint grid + footmark frequency graphs over the
 	// trajectory corpus, so the popular-route miners answer from a handful
 	// of buckets instead of re-scanning every trip, and IngestTrips can grow
@@ -577,31 +568,16 @@ func (s *System) proposeRoutes(ctx context.Context, req Request) []proposal {
 		}()
 	}
 	run(0, func() []proposal {
-		// Goal-directed: the cost functions carry admissible per-meter
-		// lower bounds — tightened to landmark bounds when the ALT tier is
-		// built — so the search returns the same route as plain Dijkstra
-		// while settling a fraction of the graph.
-		var r roadnet.Route
-		var err error
-		if s.prepDist != nil {
-			r, _, err = s.prepDist.AStar(req.From, req.To, req.Depart)
-		} else {
-			r, _, err = routing.AStar(s.graph, req.From, req.To, routing.DistanceCost, req.Depart)
-		}
-		if err == nil {
+		// Goal-directed: the landmark lower bounds are admissible, so the
+		// search returns the same route as plain Dijkstra while settling a
+		// fraction of the graph.
+		if r, _, err := s.prepDist.AStar(req.From, req.To, req.Depart); err == nil {
 			return []proposal{{"ws-shortest", r}}
 		}
 		return nil
 	})
 	run(1, func() []proposal {
-		var r roadnet.Route
-		var err error
-		if s.prepTime != nil {
-			r, _, err = s.prepTime.AStar(req.From, req.To, req.Depart)
-		} else {
-			r, _, err = routing.AStar(s.graph, req.From, req.To, routing.TravelTimeCost, req.Depart)
-		}
-		if err == nil {
+		if r, _, err := s.prepTime.AStar(req.From, req.To, req.Depart); err == nil {
 			return []proposal{{"ws-fastest", r}}
 		}
 		return nil
@@ -611,13 +587,7 @@ func (s *System) proposeRoutes(ctx context.Context, req Request) []proposal {
 		if k <= 0 {
 			return nil
 		}
-		var rs []roadnet.Route
-		var err error
-		if s.prepTime != nil {
-			rs, _, err = s.prepTime.KShortest(req.From, req.To, k+1, req.Depart)
-		} else {
-			rs, _, err = routing.KShortest(s.graph, req.From, req.To, k+1, routing.TravelTimeCost, req.Depart)
-		}
+		rs, _, err := s.prepTime.KShortest(req.From, req.To, k+1, req.Depart)
 		if err != nil {
 			return nil
 		}
@@ -648,7 +618,7 @@ func (s *System) proposeRoutes(ctx context.Context, req Request) []proposal {
 }
 
 // RouteCacheStats reports the candidate-cache counters (all zero when the
-// cache is disabled). Surfaced on GET /api/health.
+// cache is disabled). Surfaced on GET /v1/health.
 func (s *System) RouteCacheStats() routecache.Stats { return s.routes.Stats() }
 
 // RoutingStats reports the search engine's counters (searches run, heap
@@ -739,16 +709,28 @@ func (s *System) agreement(cands []task.Candidate) (task.Candidate, float64, boo
 	return task.Candidate{}, 0, false
 }
 
-// crowdResolve runs the CR module: task generation, worker selection,
-// simulated answering with early stop, rewards, and truth write-back.
-// Cancellation is observed around the oracle call and between questions of
-// the crowd simulation; claimed workers are always released on the way out.
-func (s *System) crowdResolve(ctx context.Context, req Request, cands []task.Candidate) (*Response, error) {
+// crowdTask is a generated crowd task with its workers claimed: what
+// crowdResolve simulates and RecommendAsync publishes.
+type crowdTask struct {
+	tk       *task.Task // tk.Candidates is the merged candidate set
+	assigned []worker.Ranked
+	mtrue    *worker.Matrix // workers' actual knowledge when the ID was allocated
+}
+
+// prepareCrowdTask runs the CR module's steps before the first question:
+// merge indistinguishable candidates, allocate a task ID, generate the task,
+// select workers and claim them. When the crowd cannot be asked (the
+// candidates merge into one, or no worker is selected or claimed) it stores
+// the low-confidence fallback truth and returns a StageFallback response
+// instead. Workers are claimed before any resolution path, so on success the
+// caller owns their release (releaseWorkers, or finishPending for a
+// published task).
+func (s *System) prepareCrowdTask(req Request, cands []task.Candidate) (*crowdTask, *Response, error) {
 	merged := task.MergeIndistinguishable(cands)
 	if len(merged) == 1 {
 		// All candidates look identical to humans; no task needed.
 		s.logTruth(s.storeTruth(req, merged[0].Route, 0.5, false))
-		return &Response{Route: merged[0].Route, Stage: StageFallback, Confidence: 0.5, Candidates: cands}, nil
+		return nil, &Response{Route: merged[0].Route, Stage: StageFallback, Confidence: 0.5, Candidates: cands}, nil
 	}
 
 	s.mu.Lock()
@@ -760,7 +742,7 @@ func (s *System) crowdResolve(ctx context.Context, req Request, cands []task.Can
 
 	tk, err := task.Generate(id, s.landmarks, merged, s.cfg.Task)
 	if err != nil {
-		return nil, fmt.Errorf("core: generating task: %w", err)
+		return nil, nil, fmt.Errorf("core: generating task: %w", err)
 	}
 
 	selCfg := s.cfg.Select
@@ -770,25 +752,36 @@ func (s *System) crowdResolve(ctx context.Context, req Request, cands []task.Can
 	s.poolMu.RLock()
 	assigned := worker.TopKEligible(s.pool, mstar, tk.Questions, s.cfg.WorkersPerTask, selCfg)
 	s.poolMu.RUnlock()
-	if len(assigned) == 0 {
-		best := bestByConsensus(merged)
-		s.logTruth(s.storeTruth(req, best.Route, 0.5, false))
-		return &Response{Route: best.Route, Stage: StageFallback, Confidence: 0.5, Candidates: cands, Task: tk}, nil
-	}
+	// Empty when no worker is eligible, or every selected one hit quota
+	// between selection and claim.
 	assigned = s.claimWorkers(assigned, selCfg)
 	if len(assigned) == 0 {
-		// Every selected worker hit quota between selection and claim.
 		best := bestByConsensus(merged)
 		s.logTruth(s.storeTruth(req, best.Route, 0.5, false))
-		return &Response{Route: best.Route, Stage: StageFallback, Confidence: 0.5, Candidates: cands, Task: tk}, nil
+		return nil, &Response{Route: best.Route, Stage: StageFallback, Confidence: 0.5, Candidates: cands, Task: tk}, nil
 	}
-	defer func() {
-		s.poolMu.Lock()
-		for _, r := range assigned {
-			r.Worker.Outstanding--
-		}
-		s.poolMu.Unlock()
-	}()
+	return &crowdTask{tk: tk, assigned: assigned, mtrue: mtrue}, nil, nil
+}
+
+// releaseWorkers undoes claimWorkers.
+func (s *System) releaseWorkers(assigned []worker.Ranked) {
+	s.poolMu.Lock()
+	for _, r := range assigned {
+		r.Worker.Outstanding--
+	}
+	s.poolMu.Unlock()
+}
+
+// crowdResolve runs the CR module: task generation, worker selection,
+// simulated answering with early stop, rewards, and truth write-back.
+// Cancellation is observed around the oracle call and between questions of
+// the crowd simulation; claimed workers are always released on the way out.
+func (s *System) crowdResolve(ctx context.Context, req Request, cands []task.Candidate) (*Response, error) {
+	ct, resp, err := s.prepareCrowdTask(req, cands)
+	if ct == nil {
+		return resp, err
+	}
+	defer s.releaseWorkers(ct.assigned)
 
 	if err := ctx.Err(); err != nil {
 		return nil, err // deferred claim release runs
@@ -808,15 +801,15 @@ func (s *System) crowdResolve(ctx context.Context, req Request, cands []task.Can
 	// Workers answer according to their actual knowledge, not the system's
 	// estimate of it.
 	fam := func(workerIdx int, l landmark.ID) float64 {
-		if v, ok := mtrue.Get(workerIdx, int(l)); ok {
+		if v, ok := ct.mtrue.Get(workerIdx, int(l)); ok {
 			return v
 		}
 		return 0
 	}
 	// The simulation runs lock-free on a per-task RNG stream; only the
 	// reward write-back after each question briefly takes the pool lock.
-	rng := rand.New(rand.NewSource(taskSeed(s.cfg.Seed, id)))
-	run, err := crowd.RunTaskCtx(ctx, tk, assigned, truthSet, fam, s.cfg.Answers, s.cfg.EarlyStop, rng,
+	rng := rand.New(rand.NewSource(taskSeed(s.cfg.Seed, ct.tk.ID)))
+	run, err := crowd.RunTaskCtx(ctx, ct.tk, ct.assigned, truthSet, fam, s.cfg.Answers, s.cfg.EarlyStop, rng,
 		func(l landmark.ID, answers []crowd.Answer, used int) {
 			s.poolMu.Lock()
 			events := crowd.Reward(s.pool, l, answers, used, s.cfg.Rewards)
@@ -829,12 +822,12 @@ func (s *System) crowdResolve(ctx context.Context, req Request, cands []task.Can
 		return nil, err
 	}
 
-	winner := merged[run.Resolved]
+	winner := ct.tk.Candidates[run.Resolved]
 	s.logTruth(s.storeTruth(req, winner.Route, run.MinConfidence, true))
-	s.reliance.record(merged, winner.Route)
+	s.reliance.record(ct.tk.Candidates, winner.Route)
 	return &Response{
 		Route: winner.Route, Stage: StageCrowd, Confidence: run.MinConfidence,
-		Candidates: cands, Task: tk, Run: &run, Workers: assigned,
+		Candidates: cands, Task: ct.tk, Run: &run, Workers: ct.assigned,
 	}, nil
 }
 

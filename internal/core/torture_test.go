@@ -341,8 +341,7 @@ func TestTortureTornTail(t *testing.T) {
 }
 
 // tinyTortureConfig is a scenario small enough to rebuild once per kill
-// point. ALT preprocessing is skipped — the sweep needs construction speed,
-// not routing speed.
+// point.
 func tinyTortureConfig() ScenarioConfig {
 	cfg := SmallScenarioConfig()
 	cfg.City.Cols, cfg.City.Rows = 6, 6
@@ -355,7 +354,6 @@ func tinyTortureConfig() ScenarioConfig {
 	cfg.Checkins.NumUsers = 40
 	cfg.Workers.NumWorkers = 40
 	cfg.System.PMF.Iters = 10
-	cfg.System.RoutingPreprocess = false
 	return cfg
 }
 

@@ -9,7 +9,7 @@
 // The cache is safe for concurrent use: keys hash to independent shards,
 // each with its own mutex, so parallel request handlers contend only when
 // they collide on a shard. Counters are maintained with atomics and exposed
-// via Stats for the /api/health endpoint.
+// via Stats for the /v1/health endpoint.
 package routecache
 
 import (

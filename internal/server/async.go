@@ -21,11 +21,11 @@ import (
 //	POST /v1/tasks/{id}/expire        — force-close on deadline
 //	GET  /v1/workers/{id}/tasks       — open questions for a worker
 func (s *Server) registerAsync() {
-	s.register("POST", "/recommend/async", s.handleRecommendAsync)
-	s.register("GET", "/tasks/{id}", s.handleTaskState)
-	s.register("POST", "/tasks/{id}/answer", s.handleTaskAnswer)
-	s.register("POST", "/tasks/{id}/expire", s.handleTaskExpire)
-	s.register("GET", "/workers/{id}/tasks", s.handleWorkerTasks)
+	s.handle("POST /v1/recommend/async", s.handleRecommendAsync)
+	s.handle("GET /v1/tasks/{id}", s.handleTaskState)
+	s.handle("POST /v1/tasks/{id}/answer", s.handleTaskAnswer)
+	s.handle("POST /v1/tasks/{id}/expire", s.handleTaskExpire)
+	s.handle("GET /v1/workers/{id}/tasks", s.handleWorkerTasks)
 }
 
 // AsyncRecommendResponse is the POST /v1/recommend/async reply: either a
@@ -75,17 +75,17 @@ func (s *Server) recommendResponse(resp *core.Response, depart float64) *Recomme
 	return out
 }
 
-func (s *Server) handleRecommendAsync(w http.ResponseWriter, r *http.Request, v1 bool) {
+func (s *Server) handleRecommendAsync(w http.ResponseWriter, r *http.Request) {
 	// Publishing a crowd task writes task-lifecycle records; with the
 	// storage breaker open those would be short-circuited and the task lost
 	// on restart, so async publication is refused while degraded (the
 	// synchronous /v1/recommend keeps serving).
-	if s.rejectIfDegraded(w, r, v1) {
+	if s.rejectIfDegraded(w, r) {
 		return
 	}
 	var req RecommendRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, v1, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: %v", err)
+		writeErr(w, r, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: %v", err)
 		return
 	}
 	resp, ticket, err := s.sys.RecommendAsync(r.Context(), core.Request{
@@ -94,7 +94,7 @@ func (s *Server) handleRecommendAsync(w http.ResponseWriter, r *http.Request, v1
 		DeadlineMin: req.DeadlineMin,
 	})
 	if err != nil {
-		writeCoreErr(w, r, v1, err)
+		writeCoreErr(w, r, err)
 		return
 	}
 	out := AsyncRecommendResponse{}
@@ -106,15 +106,15 @@ func (s *Server) handleRecommendAsync(w http.ResponseWriter, r *http.Request, v1
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) taskFromPath(w http.ResponseWriter, r *http.Request, v1 bool) (*core.PendingTask, bool) {
+func (s *Server) taskFromPath(w http.ResponseWriter, r *http.Request) (*core.PendingTask, bool) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
-		writeErr(w, r, v1, http.StatusBadRequest, CodeBadRequest, "bad task id %q", r.PathValue("id"))
+		writeErr(w, r, http.StatusBadRequest, CodeBadRequest, "bad task id %q", r.PathValue("id"))
 		return nil, false
 	}
 	p, ok := s.sys.PendingTask(id)
 	if !ok {
-		writeErr(w, r, v1, http.StatusNotFound, CodeNotFound, "unknown task %d", id)
+		writeErr(w, r, http.StatusNotFound, CodeNotFound, "unknown task %d", id)
 		return nil, false
 	}
 	return p, true
@@ -126,8 +126,8 @@ type TaskStateResponse struct {
 	Result *RecommendResponse `json:"result,omitempty"`
 }
 
-func (s *Server) handleTaskState(w http.ResponseWriter, r *http.Request, v1 bool) {
-	p, ok := s.taskFromPath(w, r, v1)
+func (s *Server) handleTaskState(w http.ResponseWriter, r *http.Request) {
+	p, ok := s.taskFromPath(w, r)
 	if !ok {
 		return
 	}
@@ -150,22 +150,22 @@ type AnswerResponse struct {
 	Resolved *RecommendResponse `json:"resolved,omitempty"`
 }
 
-func (s *Server) handleTaskAnswer(w http.ResponseWriter, r *http.Request, v1 bool) {
-	if s.rejectIfDegraded(w, r, v1) {
+func (s *Server) handleTaskAnswer(w http.ResponseWriter, r *http.Request) {
+	if s.rejectIfDegraded(w, r) {
 		return
 	}
-	p, ok := s.taskFromPath(w, r, v1)
+	p, ok := s.taskFromPath(w, r)
 	if !ok {
 		return
 	}
 	var req AnswerRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, v1, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: %v", err)
+		writeErr(w, r, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: %v", err)
 		return
 	}
 	resp, err := s.sys.SubmitAnswer(p.ID, worker.ID(req.Worker), req.Yes)
 	if err != nil {
-		writeCoreErr(w, r, v1, err)
+		writeCoreErr(w, r, err)
 		return
 	}
 	state, _ := p.Status()
@@ -176,17 +176,17 @@ func (s *Server) handleTaskAnswer(w http.ResponseWriter, r *http.Request, v1 boo
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleTaskExpire(w http.ResponseWriter, r *http.Request, v1 bool) {
-	if s.rejectIfDegraded(w, r, v1) {
+func (s *Server) handleTaskExpire(w http.ResponseWriter, r *http.Request) {
+	if s.rejectIfDegraded(w, r) {
 		return
 	}
-	p, ok := s.taskFromPath(w, r, v1)
+	p, ok := s.taskFromPath(w, r)
 	if !ok {
 		return
 	}
 	resp, err := s.sys.ExpireTask(p.ID)
 	if err != nil {
-		writeCoreErr(w, r, v1, err)
+		writeCoreErr(w, r, err)
 		return
 	}
 	state, _ := p.Status()
@@ -202,10 +202,12 @@ type WorkerTaskInfo struct {
 	Landmark int32 `json:"landmark"`
 }
 
-func (s *Server) handleWorkerTasks(w http.ResponseWriter, r *http.Request, v1 bool) {
-	id, err := strconv.Atoi(r.PathValue("id"))
+func (s *Server) handleWorkerTasks(w http.ResponseWriter, r *http.Request) {
+	// worker.ID is int32: parse in that range so an out-of-range ID is
+	// rejected rather than wrapped onto another worker.
+	id, err := strconv.ParseInt(r.PathValue("id"), 10, 32)
 	if err != nil {
-		writeErr(w, r, v1, http.StatusBadRequest, CodeBadRequest, "bad worker id %q", r.PathValue("id"))
+		writeErr(w, r, http.StatusBadRequest, CodeBadRequest, "bad worker id %q", r.PathValue("id"))
 		return
 	}
 	out := []WorkerTaskInfo{}

@@ -37,7 +37,7 @@ func TestAsyncHTTPLifecycle(t *testing.T) {
 	reqBody, _ := json.Marshal(RecommendRequest{
 		From: trip.Route.Source(), To: trip.Route.Dest(), DepartMin: float64(trip.Depart),
 	})
-	resp := postJSON(t, srv.URL+"/api/recommend/async", json.RawMessage(reqBody))
+	resp := postJSON(t, srv.URL+"/v1/recommend/async", json.RawMessage(reqBody))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("publish status = %d", resp.StatusCode)
 	}
@@ -52,7 +52,7 @@ func TestAsyncHTTPLifecycle(t *testing.T) {
 
 	// 2. The assigned workers see the question.
 	wt := decode[[]WorkerTaskInfo](t, mustGet(t,
-		fmt.Sprintf("%s/api/workers/%d/tasks", srv.URL, ticket.AssignedWorkers[0])))
+		fmt.Sprintf("%s/v1/workers/%d/tasks", srv.URL, ticket.AssignedWorkers[0])))
 	found := false
 	for _, info := range wt {
 		if info.TaskID == ticket.TaskID {
@@ -78,7 +78,7 @@ func TestAsyncHTTPLifecycle(t *testing.T) {
 	var resolved *RecommendResponse
 	for round := 0; round < 200 && resolved == nil; round++ {
 		state := decode[TaskStateResponse](t, mustGet(t,
-			fmt.Sprintf("%s/api/tasks/%d", srv.URL, ticket.TaskID)))
+			fmt.Sprintf("%s/v1/tasks/%d", srv.URL, ticket.TaskID)))
 		if state.Ticket.State != "open" {
 			resolved = state.Result
 			break
@@ -91,7 +91,7 @@ func TestAsyncHTTPLifecycle(t *testing.T) {
 				Yes:    truthSet[landmark.ID(lm)],
 			})
 			r, err := http.Post(
-				fmt.Sprintf("%s/api/tasks/%d/answer", srv.URL, ticket.TaskID),
+				fmt.Sprintf("%s/v1/tasks/%d/answer", srv.URL, ticket.TaskID),
 				"application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
@@ -127,25 +127,25 @@ func TestAsyncHTTPLifecycle(t *testing.T) {
 func TestAsyncHTTPValidation(t *testing.T) {
 	srv, _, _ := asyncServer(t)
 	// Unknown task.
-	r := mustGet(t, srv.URL+"/api/tasks/99999")
+	r := mustGet(t, srv.URL+"/v1/tasks/99999")
 	r.Body.Close()
 	if r.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown task status = %d", r.StatusCode)
 	}
 	// Bad task id.
-	r = mustGet(t, srv.URL+"/api/tasks/abc")
+	r = mustGet(t, srv.URL+"/v1/tasks/abc")
 	r.Body.Close()
 	if r.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad id status = %d", r.StatusCode)
 	}
 	// Bad worker id.
-	r = mustGet(t, srv.URL+"/api/workers/xyz/tasks")
+	r = mustGet(t, srv.URL+"/v1/workers/xyz/tasks")
 	r.Body.Close()
 	if r.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad worker status = %d", r.StatusCode)
 	}
 	// Unknown worker has no tasks (empty list, 200).
-	r = mustGet(t, srv.URL+"/api/workers/424242/tasks")
+	r = mustGet(t, srv.URL+"/v1/workers/424242/tasks")
 	if r.StatusCode != http.StatusOK {
 		t.Errorf("unknown worker status = %d", r.StatusCode)
 	}
@@ -163,12 +163,12 @@ func TestAsyncHTTPExpire(t *testing.T) {
 	reqBody, _ := json.Marshal(RecommendRequest{
 		From: trip.Route.Source(), To: trip.Route.Dest(), DepartMin: float64(trip.Depart),
 	})
-	resp := postJSON(t, srv.URL+"/api/recommend/async", json.RawMessage(reqBody))
+	resp := postJSON(t, srv.URL+"/v1/recommend/async", json.RawMessage(reqBody))
 	out := decode[AsyncRecommendResponse](t, resp)
 	if out.Ticket == nil {
 		t.Skip("TR resolved directly")
 	}
-	r, err := http.Post(fmt.Sprintf("%s/api/tasks/%d/expire", srv.URL, out.Ticket.TaskID),
+	r, err := http.Post(fmt.Sprintf("%s/v1/tasks/%d/expire", srv.URL, out.Ticket.TaskID),
 		"application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestAsyncHTTPExpire(t *testing.T) {
 		t.Errorf("expire = %+v", ans)
 	}
 	// Second expiry conflicts.
-	r2, _ := http.Post(fmt.Sprintf("%s/api/tasks/%d/expire", srv.URL, out.Ticket.TaskID),
+	r2, _ := http.Post(fmt.Sprintf("%s/v1/tasks/%d/expire", srv.URL, out.Ticket.TaskID),
 		"application/json", nil)
 	r2.Body.Close()
 	if r2.StatusCode != http.StatusConflict {

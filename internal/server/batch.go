@@ -10,12 +10,19 @@ import (
 	"crowdplanner/internal/routing"
 )
 
-// maxBatchBodyBytes bounds the batch request body; 256 full items fit in a
-// small fraction of this.
-const maxBatchBodyBytes = 4 << 20
+const (
+	// batchMaxItems caps the items per batch call.
+	batchMaxItems = 256
+	// batchParallel bounds how many items of one batch run through the core
+	// at once.
+	batchParallel = 8
+	// maxBatchBodyBytes bounds the batch request body; batchMaxItems full
+	// items fit in a small fraction of this.
+	maxBatchBodyBytes = 4 << 20
+)
 
-// BatchRecommendRequest is the POST /v1/recommend/batch body: up to the
-// server's configured limit (default 256) of independent recommend requests.
+// BatchRecommendRequest is the POST /v1/recommend/batch body: up to
+// batchMaxItems (256) independent recommend requests.
 type BatchRecommendRequest struct {
 	Items []RecommendRequest `json:"items"`
 }
@@ -39,10 +46,10 @@ type BatchRecommendResponse struct {
 }
 
 // handleRecommendBatch fans the items through the concurrent core with
-// bounded parallelism (WithBatchLimits), amortizing per-request HTTP
+// bounded parallelism (batchParallel), amortizing per-request HTTP
 // overhead for bulk clients. The request context covers the whole batch: a
 // disconnect cancels in-flight items and fails the rest as cancelled.
-func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request, v1 bool) {
+func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	// The item-count check below only runs after decoding, so cap the body
 	// itself: without this a single huge request could exhaust memory.
 	body := http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)
@@ -50,26 +57,26 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request, v1
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeErr(w, r, v1, http.StatusRequestEntityTooLarge, CodeTooLarge,
+			writeErr(w, r, http.StatusRequestEntityTooLarge, CodeTooLarge,
 				"request body exceeds %d bytes", tooBig.Limit)
 			return
 		}
-		writeErr(w, r, v1, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: %v", err)
+		writeErr(w, r, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: %v", err)
 		return
 	}
 	if len(req.Items) == 0 {
-		writeErr(w, r, v1, http.StatusBadRequest, CodeBadRequest, "items must be non-empty")
+		writeErr(w, r, http.StatusBadRequest, CodeBadRequest, "items must be non-empty")
 		return
 	}
-	if len(req.Items) > s.batchMaxItems {
-		writeErr(w, r, v1, http.StatusRequestEntityTooLarge, CodeTooLarge,
-			"batch of %d items exceeds the limit of %d", len(req.Items), s.batchMaxItems)
+	if len(req.Items) > batchMaxItems {
+		writeErr(w, r, http.StatusRequestEntityTooLarge, CodeTooLarge,
+			"batch of %d items exceeds the limit of %d", len(req.Items), batchMaxItems)
 		return
 	}
 
 	ctx := r.Context()
 	results := make([]BatchItemResult, len(req.Items))
-	sem := make(chan struct{}, s.batchParallel)
+	sem := make(chan struct{}, batchParallel)
 	var wg sync.WaitGroup
 	for i, item := range req.Items {
 		wg.Add(1)

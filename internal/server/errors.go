@@ -36,7 +36,7 @@ const (
 	CodeCancelled ErrorCode = "cancelled"
 	// CodeDeadlineExceeded (504): the request's deadline passed server-side.
 	CodeDeadlineExceeded ErrorCode = "deadline_exceeded"
-	// CodeTooLarge (413): the batch exceeds the configured item limit.
+	// CodeTooLarge (413): the batch exceeds its item limit.
 	CodeTooLarge ErrorCode = "too_large"
 	// CodeOverloaded (429): the bounded admission queue is full; the load
 	// was shed. Retry after the Retry-After hint.
@@ -96,21 +96,15 @@ func classify(err error) (int, ErrorCode) {
 	}
 }
 
-// writeErr writes an error in the surface's shape: the /v1 envelope, or the
-// legacy `{"error": "<message>"}` for the deprecated /api aliases.
-func writeErr(w http.ResponseWriter, r *http.Request, v1 bool, status int, code ErrorCode, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	if !v1 {
-		writeJSON(w, status, map[string]string{"error": msg})
-		return
-	}
+// writeErr writes an error as the /v1 envelope.
+func writeErr(w http.ResponseWriter, r *http.Request, status int, code ErrorCode, format string, args ...any) {
 	writeJSON(w, status, errorEnvelope{Error: ErrorBody{
-		Code: code, Message: msg, RequestID: RequestIDFrom(r.Context()),
+		Code: code, Message: fmt.Sprintf(format, args...), RequestID: RequestIDFrom(r.Context()),
 	}})
 }
 
 // writeCoreErr classifies a core error and writes it.
-func writeCoreErr(w http.ResponseWriter, r *http.Request, v1 bool, err error) {
+func writeCoreErr(w http.ResponseWriter, r *http.Request, err error) {
 	status, code := classify(err)
-	writeErr(w, r, v1, status, code, "%v", err)
+	writeErr(w, r, status, code, "%v", err)
 }

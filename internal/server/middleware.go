@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -95,9 +94,9 @@ func (s *Server) withAccessLog(next http.Handler) http.Handler {
 	})
 }
 
-// withRecovery converts a handler panic into a 500 (in the surface's error
-// shape) instead of killing the connection, and logs the panic with the
-// request ID so it can be found.
+// withRecovery converts a handler panic into a 500 envelope instead of
+// killing the connection, and logs the panic with the request ID so it can
+// be found.
 func (s *Server) withRecovery(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w}
@@ -114,8 +113,7 @@ func (s *Server) withRecovery(next http.Handler) http.Handler {
 				s.logger.Printf("panic serving %s %s rid=%s: %v", r.Method, r.URL.Path, RequestIDFrom(r.Context()), v)
 			}
 			if rec.status == 0 { // headers not sent yet: a clean 500 is still possible
-				v1 := strings.HasPrefix(r.URL.Path, "/v1/")
-				writeErr(rec, r, v1, http.StatusInternalServerError, CodeInternal, "internal server error")
+				writeErr(rec, r, http.StatusInternalServerError, CodeInternal, "internal server error")
 			}
 		}()
 		next.ServeHTTP(rec, r)

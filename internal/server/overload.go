@@ -5,7 +5,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,10 +163,9 @@ func clientKey(r *http.Request) string {
 }
 
 // exemptFromOverload lists the paths that must stay reachable while the
-// server is saturated: health (operators observing the overload) — on both
-// surfaces, so legacy dashboards keep working too.
+// server is saturated: health, so operators can observe the overload.
 func exemptFromOverload(path string) bool {
-	return path == "/v1/health" || path == "/api/health"
+	return path == "/v1/health"
 }
 
 // setRetryAfter writes the Retry-After header, rounding up to whole seconds
@@ -194,12 +192,11 @@ func (s *Server) withOverload(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		v1 := strings.HasPrefix(r.URL.Path, "/v1/")
 		if g.cfg.RatePerSec > 0 {
 			if ok, wait := g.allow(clientKey(r), time.Now()); !ok {
 				g.limited.Add(1)
 				setRetryAfter(w, wait)
-				writeErr(w, r, v1, http.StatusTooManyRequests, CodeRateLimited,
+				writeErr(w, r, http.StatusTooManyRequests, CodeRateLimited,
 					"client rate limit exceeded (%.3g req/s)", g.cfg.RatePerSec)
 				return
 			}
@@ -213,7 +210,7 @@ func (s *Server) withOverload(next http.Handler) http.Handler {
 					g.queued.Add(-1)
 					g.shed.Add(1)
 					setRetryAfter(w, g.cfg.RetryAfter)
-					writeErr(w, r, v1, http.StatusTooManyRequests, CodeOverloaded,
+					writeErr(w, r, http.StatusTooManyRequests, CodeOverloaded,
 						"server at capacity (%d in service, %d queued); load shed", g.cfg.MaxConcurrent, g.cfg.MaxQueue)
 					return
 				}
@@ -222,7 +219,7 @@ func (s *Server) withOverload(next http.Handler) http.Handler {
 					g.queued.Add(-1)
 				case <-r.Context().Done():
 					g.queued.Add(-1)
-					writeErr(w, r, v1, statusClientClosedRequest, CodeCancelled,
+					writeErr(w, r, statusClientClosedRequest, CodeCancelled,
 						"client went away while queued for admission")
 					return
 				}
@@ -265,7 +262,7 @@ func (s *Server) overloadInfo() OverloadInfo {
 // restart. Recommends (and batch) stay served: their truth write-backs are
 // best-effort observations, and their append attempts are the probe traffic
 // that heals the breaker.
-func (s *Server) rejectIfDegraded(w http.ResponseWriter, r *http.Request, v1 bool) bool {
+func (s *Server) rejectIfDegraded(w http.ResponseWriter, r *http.Request) bool {
 	if !s.sys.Degraded() {
 		return false
 	}
@@ -274,7 +271,7 @@ func (s *Server) rejectIfDegraded(w http.ResponseWriter, r *http.Request, v1 boo
 		retry = s.overload.cfg.RetryAfter
 	}
 	setRetryAfter(w, retry)
-	writeErr(w, r, v1, http.StatusServiceUnavailable, CodeDegraded,
+	writeErr(w, r, http.StatusServiceUnavailable, CodeDegraded,
 		"storage backend degraded (circuit breaker open): mutating endpoints are read-only until it heals")
 	return true
 }

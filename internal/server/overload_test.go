@@ -80,7 +80,7 @@ func TestRateLimitEndpoint(t *testing.T) {
 			hr.Body.Close()
 			continue
 		}
-		h := decode[HealthV1Response](t, hr)
+		h := decode[HealthResponse](t, hr)
 		if !h.Overload.Enabled || h.Overload.RateLimited < 1 {
 			t.Fatalf("health overload section = %+v", h.Overload)
 		}
@@ -338,7 +338,7 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 		t.Fatal("breaker never opened")
 	}
 
-	h := decode[HealthV1Response](t, mustGet(t, ts.URL+"/v1/health"))
+	h := decode[HealthResponse](t, mustGet(t, ts.URL+"/v1/health"))
 	if h.Status != "degraded" {
 		t.Fatalf("health status = %q, want degraded", h.Status)
 	}
@@ -373,7 +373,7 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 	if w.System.Degraded() {
 		t.Fatal("snapshot success did not close the breaker")
 	}
-	h = decode[HealthV1Response](t, mustGet(t, ts.URL+"/v1/health"))
+	h = decode[HealthResponse](t, mustGet(t, ts.URL+"/v1/health"))
 	if h.Status != "ok" {
 		t.Fatalf("healed health status = %q", h.Status)
 	}
@@ -416,7 +416,7 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 	if st.Probes == 0 || st.Opens != 2 {
 		t.Fatalf("breaker stats after recovery = %+v, want probes>0, opens=2", st)
 	}
-	h = decode[HealthV1Response](t, mustGet(t, ts.URL+"/v1/health"))
+	h = decode[HealthResponse](t, mustGet(t, ts.URL+"/v1/health"))
 	if h.Status != "ok" || h.Store.Breaker.State != core.BreakerClosed {
 		t.Fatalf("final health = %q / breaker %q", h.Status, h.Store.Breaker.State)
 	}

@@ -2,7 +2,7 @@
 // the mobile client is represented by any HTTP client — see the client
 // package for the typed Go SDK).
 //
-// The current surface is versioned under /v1:
+// The API is versioned under /v1:
 //
 //	POST /v1/recommend         — process a route request through the full pipeline
 //	POST /v1/recommend/batch   — fan N requests through the concurrent core
@@ -14,15 +14,11 @@
 //	GET  /v1/sources           — per-provider precision scoreboard
 //	POST /v1/admin/snapshot    — persist full state through the storage backend
 //
-// plus the asynchronous task lifecycle (see async.go). Errors on /v1 use a
-// uniform envelope {"error":{"code","message","request_id"}} with typed
-// codes (see errors.go); every request carries an X-Request-ID, is access-
-// logged, and is measured into the /v1/health endpoint metrics.
-//
-// The pre-versioning /api/* paths remain registered as deprecated aliases
-// of the same handlers with their original payload shapes (bare arrays,
-// string errors); they answer with a `Deprecation: true` header and a Link
-// to their /v1 successor.
+// plus the asynchronous task lifecycle (see async.go). Every error, including
+// one for an unknown path or method, uses a uniform envelope
+// {"error":{"code","message","request_id"}} with typed codes (see
+// errors.go); every request carries an X-Request-ID, is access-logged, and
+// is measured into the /v1/health endpoint metrics.
 package server
 
 import (
@@ -48,10 +44,6 @@ type Server struct {
 	metrics  *metricsRegistry
 	logger   *log.Logger
 	overload *overloadGuard // nil unless WithOverload was given
-
-	batchMaxItems int
-	batchParallel int
-	trajMaxItems  int
 }
 
 // Option configures a Server.
@@ -61,54 +53,27 @@ type Option func(*Server)
 // test servers stay quiet).
 func WithLogger(l *log.Logger) Option { return func(s *Server) { s.logger = l } }
 
-// WithBatchLimits overrides the batch endpoint's bounds: maxItems caps the
-// items per call (default 256), parallel bounds how many items run through
-// the core at once (default 8). Non-positive values keep the defaults.
-func WithBatchLimits(maxItems, parallel int) Option {
-	return func(s *Server) {
-		if maxItems > 0 {
-			s.batchMaxItems = maxItems
-		}
-		if parallel > 0 {
-			s.batchParallel = parallel
-		}
-	}
-}
-
-// WithTrajBatchLimit overrides how many trips one POST /v1/trajectories call
-// may carry (default 1024). Non-positive keeps the default.
-func WithTrajBatchLimit(maxItems int) Option {
-	return func(s *Server) {
-		if maxItems > 0 {
-			s.trajMaxItems = maxItems
-		}
-	}
-}
-
 // New builds the server and its routes.
 func New(sys *core.System, opts ...Option) *Server {
-	s := &Server{
-		sys: sys, mux: http.NewServeMux(), metrics: newMetricsRegistry(),
-		batchMaxItems: 256, batchParallel: 8, trajMaxItems: 1024,
-	}
+	s := &Server{sys: sys, mux: http.NewServeMux(), metrics: newMetricsRegistry()}
 	for _, o := range opts {
 		o(s)
 	}
-	s.register("POST", "/recommend", s.handleRecommend)
-	s.register("GET", "/health", s.handleHealth)
-	s.register("GET", "/truths", s.handleTruths)
-	s.register("GET", "/landmarks", s.handleLandmarks)
-	s.register("GET", "/workers/top", s.handleTopWorkers)
-	s.register("GET", "/sources", s.handleSources)
+	s.handle("POST /v1/recommend", s.handleRecommend)
+	s.handle("POST /v1/recommend/batch", s.handleRecommendBatch)
+	s.handle("POST /v1/trajectories", s.handleIngestTrajectories)
+	s.handle("GET /v1/health", s.handleHealth)
+	s.handle("GET /v1/truths", s.handleTruths)
+	s.handle("GET /v1/landmarks", s.handleLandmarks)
+	s.handle("GET /v1/workers/top", s.handleTopWorkers)
+	s.handle("GET /v1/sources", s.handleSources)
+	s.handle("POST /v1/admin/snapshot", s.handleAdminSnapshot)
 	s.registerAsync()
-	s.registerV1Only("POST", "/recommend/batch", s.handleRecommendBatch)
-	s.registerV1Only("POST", "/trajectories", s.handleIngestTrajectories)
-	s.registerV1Only("POST", "/admin/snapshot", s.handleAdminSnapshot)
-	// Unmatched /v1 requests get the envelope, not ServeMux's plain-text
-	// 404/405, so code-switching clients can parse every /v1 error. This
-	// prefix pattern also swallows the mux's method-mismatch handling, so
-	// probe the other methods to tell 405 from 404.
-	s.mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
+	// Unmatched requests get the envelope, not ServeMux's plain-text
+	// 404/405, so clients can parse every error. This catch-all pattern also
+	// swallows the mux's method-mismatch handling, so probe the other
+	// methods to tell 405 from 404.
+	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		var allowed []string
 		for _, m := range []string{http.MethodGet, http.MethodPost} {
 			if m == r.Method {
@@ -116,17 +81,17 @@ func New(sys *core.System, opts ...Option) *Server {
 			}
 			probe := r.Clone(r.Context())
 			probe.Method = m
-			if _, pat := s.mux.Handler(probe); pat != "" && pat != "/v1/" {
+			if _, pat := s.mux.Handler(probe); pat != "" && pat != "/" {
 				allowed = append(allowed, m)
 			}
 		}
 		if len(allowed) > 0 {
 			w.Header().Set("Allow", strings.Join(allowed, ", "))
-			writeErr(w, r, true, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+			writeErr(w, r, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
 				"method %s not allowed for %s", r.Method, r.URL.Path)
 			return
 		}
-		writeErr(w, r, true, http.StatusNotFound, CodeNotFound, "no such endpoint: %s %s", r.Method, r.URL.Path)
+		writeErr(w, r, http.StatusNotFound, CodeNotFound, "no such endpoint: %s %s", r.Method, r.URL.Path)
 	})
 	return s
 }
@@ -140,29 +105,10 @@ func (s *Server) Handler() http.Handler {
 	return withRequestID(s.withAccessLog(s.withRecovery(s.withOverload(s.mux))))
 }
 
-// versionedHandler serves one endpoint for both surfaces; v1 selects the
-// /v1 payload rules (error envelope, pagination) over the legacy ones.
-type versionedHandler func(w http.ResponseWriter, r *http.Request, v1 bool)
-
-// register installs h under /v1<path> and, as a deprecated alias with the
-// legacy payload shapes, under /api<path>. Both registrations are
-// instrumented for the per-endpoint metrics.
-func (s *Server) register(method, path string, h versionedHandler) {
-	s.registerV1Only(method, path, h)
-	pat := method + " /api" + path
-	s.mux.Handle(pat, s.instrument(pat, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=%q", path, "successor-version"))
-		h(w, r, false)
-	}))
-}
-
-// registerV1Only installs h under /v1<path> only (no legacy alias).
-func (s *Server) registerV1Only(method, path string, h versionedHandler) {
-	pat := method + " /v1" + path
-	s.mux.Handle(pat, s.instrument(pat, func(w http.ResponseWriter, r *http.Request) {
-		h(w, r, true)
-	}))
+// handle installs h under pattern ("METHOD /path"), instrumented for the
+// per-endpoint metrics.
+func (s *Server) handle(pattern string, h http.HandlerFunc) {
+	s.mux.Handle(pattern, s.instrument(pattern, h))
 }
 
 // Page is the /v1 list envelope: one page of items plus the total count and
@@ -244,10 +190,10 @@ type TaskInfo struct {
 	WorkersAssigned   int     `json:"workers_assigned"`
 }
 
-func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request, v1 bool) {
+func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var req RecommendRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, v1, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: %v", err)
+		writeErr(w, r, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: %v", err)
 		return
 	}
 	// r.Context() is cancelled when the client disconnects: the pipeline
@@ -258,7 +204,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request, v1 bool
 		DeadlineMin: req.DeadlineMin,
 	})
 	if err != nil {
-		writeCoreErr(w, r, v1, err)
+		writeCoreErr(w, r, err)
 		return
 	}
 	out := s.recommendResponse(resp, req.DepartMin)
@@ -280,27 +226,23 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request, v1 bool
 	writeJSON(w, http.StatusOK, out)
 }
 
-// HealthResponse is the GET /api/health reply (and the core of /v1/health).
+// HealthResponse is the GET /v1/health reply: liveness, inventory sizes,
+// cache/store/overload/routing counters, and per-endpoint serving metrics.
 type HealthResponse struct {
-	Status     string         `json:"status"`
-	Nodes      int            `json:"nodes"`
-	Edges      int            `json:"edges"`
-	Landmarks  int            `json:"landmarks"`
-	Workers    int            `json:"workers"`
-	Truths     int            `json:"truths"`
-	Trips      int            `json:"trips"` // trajectory corpus size (generated + ingested)
-	RouteCache RouteCacheInfo `json:"route_cache"`
-}
-
-// HealthV1Response extends HealthResponse with serving metrics for /v1.
-type HealthV1Response struct {
-	HealthResponse
-	OpenTasks int                        `json:"open_tasks"`
-	UptimeSec float64                    `json:"uptime_sec"`
-	Store     StoreInfo                  `json:"store"`
-	Overload  OverloadInfo               `json:"overload"`
-	Routing   routing.Stats              `json:"routing"`
-	Endpoints map[string]EndpointMetrics `json:"endpoints"`
+	Status     string                     `json:"status"`
+	Nodes      int                        `json:"nodes"`
+	Edges      int                        `json:"edges"`
+	Landmarks  int                        `json:"landmarks"`
+	Workers    int                        `json:"workers"`
+	Truths     int                        `json:"truths"`
+	Trips      int                        `json:"trips"` // trajectory corpus size (generated + ingested)
+	RouteCache RouteCacheInfo             `json:"route_cache"`
+	OpenTasks  int                        `json:"open_tasks"`
+	UptimeSec  float64                    `json:"uptime_sec"`
+	Store      StoreInfo                  `json:"store"`
+	Overload   OverloadInfo               `json:"overload"`
+	Routing    routing.Stats              `json:"routing"`
+	Endpoints  map[string]EndpointMetrics `json:"endpoints"`
 }
 
 // StoreInfo reports the storage backend's counters (see internal/store),
@@ -324,7 +266,7 @@ type RouteCacheInfo struct {
 	Capacity      int     `json:"capacity"`
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request, v1 bool) {
+func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	cs := s.sys.RouteCacheStats()
 	status := "ok"
 	if s.sys.Degraded() {
@@ -332,7 +274,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request, v1 bool) {
 		// endpoints answer 503 (see rejectIfDegraded).
 		status = "degraded"
 	}
-	base := HealthResponse{
+	endpoints, uptime := s.metrics.snapshot()
+	ss, appendErrs := s.sys.StoreStats()
+	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:    status,
 		Nodes:     s.sys.Graph().NumNodes(),
 		Edges:     s.sys.Graph().NumEdges(),
@@ -345,21 +289,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request, v1 bool) {
 			Evictions: cs.Evictions, Invalidations: cs.Invalidations,
 			Size: cs.Size, Capacity: cs.Capacity,
 		},
-	}
-	if !v1 {
-		writeJSON(w, http.StatusOK, base)
-		return
-	}
-	endpoints, uptime := s.metrics.snapshot()
-	ss, appendErrs := s.sys.StoreStats()
-	writeJSON(w, http.StatusOK, HealthV1Response{
-		HealthResponse: base,
-		OpenTasks:      s.sys.OpenTasks(),
-		UptimeSec:      uptime,
-		Store:          StoreInfo{Stats: ss, AppendErrors: appendErrs, Breaker: s.sys.BreakerStats()},
-		Overload:       s.overloadInfo(),
-		Routing:        s.sys.RoutingStats(),
-		Endpoints:      endpoints,
+		OpenTasks: s.sys.OpenTasks(),
+		UptimeSec: uptime,
+		Store:     StoreInfo{Stats: ss, AppendErrors: appendErrs, Breaker: s.sys.BreakerStats()},
+		Overload:  s.overloadInfo(),
+		Routing:   s.sys.RoutingStats(),
+		Endpoints: endpoints,
 	})
 }
 
@@ -375,10 +310,10 @@ type SnapshotResponse struct {
 // backend this is a harmless no-op persistence-wise; with diskstore it is
 // the operator's checkpoint lever (cpserver also snapshots on graceful
 // shutdown).
-func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request, v1 bool) {
+func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	stats, err := s.sys.Snapshot()
 	if err != nil {
-		writeErr(w, r, v1, http.StatusInternalServerError, CodeInternal, "snapshot failed: %v", err)
+		writeErr(w, r, http.StatusInternalServerError, CodeInternal, "snapshot failed: %v", err)
 		return
 	}
 	_, appendErrs := s.sys.StoreStats()
@@ -395,7 +330,7 @@ type TruthInfo struct {
 	Nodes      int            `json:"nodes"`
 }
 
-func (s *Server) handleTruths(w http.ResponseWriter, r *http.Request, v1 bool) {
+func (s *Server) handleTruths(w http.ResponseWriter, r *http.Request) {
 	toInfo := func(entries []truth.Entry) []TruthInfo {
 		out := make([]TruthInfo, 0, len(entries))
 		for _, e := range entries {
@@ -406,13 +341,9 @@ func (s *Server) handleTruths(w http.ResponseWriter, r *http.Request, v1 bool) {
 		}
 		return out
 	}
-	if !v1 {
-		writeJSON(w, http.StatusOK, toInfo(s.sys.TruthDB().Entries()))
-		return
-	}
 	limit, offset, err := pageParams(r)
 	if err != nil {
-		writeErr(w, r, v1, http.StatusBadRequest, CodeBadRequest, "%v", err)
+		writeErr(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
 	// Copy only the requested page out of the store, not the whole database
@@ -433,7 +364,7 @@ type LandmarkInfo struct {
 	Y            float64 `json:"y"`
 }
 
-func (s *Server) handleLandmarks(w http.ResponseWriter, r *http.Request, v1 bool) {
+func (s *Server) handleLandmarks(w http.ResponseWriter, r *http.Request) {
 	toInfo := func(ls []*landmark.Landmark) []LandmarkInfo {
 		// Allocated non-nil even when empty so the JSON is [] rather than null.
 		out := make([]LandmarkInfo, 0, len(ls))
@@ -445,22 +376,9 @@ func (s *Server) handleLandmarks(w http.ResponseWriter, r *http.Request, v1 bool
 		}
 		return out
 	}
-	if !v1 {
-		top := 20
-		if v := r.URL.Query().Get("top"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				writeErr(w, r, v1, http.StatusBadRequest, CodeBadRequest, "bad top parameter %q", v)
-				return
-			}
-			top = n
-		}
-		writeJSON(w, http.StatusOK, toInfo(s.sys.Landmarks().TopBySignificance(top)))
-		return
-	}
 	limit, offset, err := pageParams(r)
 	if err != nil {
-		writeErr(w, r, v1, http.StatusBadRequest, CodeBadRequest, "%v", err)
+		writeErr(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
 	// Page over the sorted set first so only the returned slice (≤ 500
@@ -478,7 +396,7 @@ type WorkerInfo struct {
 	Reward float64 `json:"reward"`
 }
 
-func (s *Server) handleTopWorkers(w http.ResponseWriter, r *http.Request, v1 bool) {
+func (s *Server) handleTopWorkers(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var lids []landmark.ID
 	for _, part := range strings.Split(q.Get("landmarks"), ",") {
@@ -486,22 +404,24 @@ func (s *Server) handleTopWorkers(w http.ResponseWriter, r *http.Request, v1 boo
 		if part == "" {
 			continue
 		}
-		n, err := strconv.Atoi(part)
+		// landmark.ID is int32: an out-of-range ID is rejected rather than
+		// wrapped onto another landmark.
+		n, err := strconv.ParseInt(part, 10, 32)
 		if err != nil {
-			writeErr(w, r, v1, http.StatusBadRequest, CodeBadRequest, "bad landmark id %q", part)
+			writeErr(w, r, http.StatusBadRequest, CodeBadRequest, "bad landmark id %q", part)
 			return
 		}
 		lids = append(lids, landmark.ID(n))
 	}
 	if len(lids) == 0 {
-		writeErr(w, r, v1, http.StatusBadRequest, CodeBadRequest, "landmarks parameter required")
+		writeErr(w, r, http.StatusBadRequest, CodeBadRequest, "landmarks parameter required")
 		return
 	}
 	k := 5
 	if v := q.Get("k"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			writeErr(w, r, v1, http.StatusBadRequest, CodeBadRequest, "bad k parameter %q", v)
+			writeErr(w, r, http.StatusBadRequest, CodeBadRequest, "bad k parameter %q", v)
 			return
 		}
 		k = n
@@ -527,7 +447,7 @@ type SourceInfo struct {
 
 // handleSources reports the per-provider precision scoreboard (the quality
 // control of route sources; paper §VI future work).
-func (s *Server) handleSources(w http.ResponseWriter, _ *http.Request, _ bool) {
+func (s *Server) handleSources(w http.ResponseWriter, _ *http.Request) {
 	stats := s.sys.SourceStats()
 	out := make([]SourceInfo, 0, len(stats))
 	for _, st := range stats {

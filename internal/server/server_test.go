@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
@@ -52,16 +54,47 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 
 func TestHealth(t *testing.T) {
 	s, w := testServer(t)
-	resp, err := http.Get(s.URL + "/api/health")
+	resp, err := http.Get(s.URL + "/v1/health")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	h := decode[HealthResponse](t, resp)
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h HealthResponse
+	if err := json.Unmarshal(raw, &h); err != nil {
+		t.Fatal(err)
+	}
 	if h.Status != "ok" || h.Nodes != w.Graph.NumNodes() || h.Workers != w.Pool.Len() {
 		t.Errorf("health = %+v", h)
+	}
+	// Dashboards read the body as written: the top-level keys keep their
+	// order.
+	want := []string{"status", "nodes", "edges", "landmarks", "workers", "truths", "trips",
+		"route_cache", "open_tasks", "uptime_sec", "store", "overload", "routing", "endpoints"}
+	var keys []string
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if _, err := dec.Token(); err != nil { // opening brace
+		t.Fatal(err)
+	}
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(keys, want) {
+		t.Errorf("health keys = %v, want %v", keys, want)
 	}
 }
 
@@ -73,7 +106,7 @@ func TestRecommendEndpoint(t *testing.T) {
 		To:        trip.Route.Dest(),
 		DepartMin: float64(trip.Depart),
 	}
-	resp := postJSON(t, s.URL+"/api/recommend", req)
+	resp := postJSON(t, s.URL+"/v1/recommend", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
@@ -88,7 +121,7 @@ func TestRecommendEndpoint(t *testing.T) {
 		t.Errorf("summary fields: %+v", out)
 	}
 	// Truths grew; health reflects it.
-	h := decode[HealthResponse](t, mustGet(t, s.URL+"/api/health"))
+	h := decode[HealthResponse](t, mustGet(t, s.URL+"/v1/health"))
 	if h.Truths < 1 {
 		t.Error("truth DB should have entries after a request")
 	}
@@ -106,7 +139,7 @@ func mustGet(t *testing.T, url string) *http.Response {
 func TestRecommendBadInputs(t *testing.T) {
 	s, _ := testServer(t)
 	// Broken JSON.
-	resp, err := http.Post(s.URL+"/api/recommend", "application/json", bytes.NewBufferString("{"))
+	resp, err := http.Post(s.URL+"/v1/recommend", "application/json", bytes.NewBufferString("{"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +148,13 @@ func TestRecommendBadInputs(t *testing.T) {
 		t.Errorf("broken JSON status = %d", resp.StatusCode)
 	}
 	// Same from/to.
-	resp = postJSON(t, s.URL+"/api/recommend", RecommendRequest{From: 3, To: 3})
+	resp = postJSON(t, s.URL+"/v1/recommend", RecommendRequest{From: 3, To: 3})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("same-node status = %d", resp.StatusCode)
 	}
 	// GET on a POST route.
-	resp = mustGet(t, s.URL+"/api/recommend")
+	resp = mustGet(t, s.URL+"/v1/recommend")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET status = %d", resp.StatusCode)
@@ -130,11 +163,11 @@ func TestRecommendBadInputs(t *testing.T) {
 
 func TestLandmarksEndpoint(t *testing.T) {
 	s, _ := testServer(t)
-	resp := mustGet(t, s.URL+"/api/landmarks?top=5")
+	resp := mustGet(t, s.URL+"/v1/landmarks?limit=5")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	ls := decode[[]LandmarkInfo](t, resp)
+	ls := decode[Page[LandmarkInfo]](t, resp).Items
 	if len(ls) != 5 {
 		t.Fatalf("landmarks = %d", len(ls))
 	}
@@ -143,10 +176,10 @@ func TestLandmarksEndpoint(t *testing.T) {
 			t.Error("landmarks not sorted by significance")
 		}
 	}
-	resp = mustGet(t, s.URL+"/api/landmarks?top=zero")
+	resp = mustGet(t, s.URL+"/v1/landmarks?limit=zero")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad top status = %d", resp.StatusCode)
+		t.Errorf("bad limit status = %d", resp.StatusCode)
 	}
 }
 
@@ -154,7 +187,7 @@ func TestTopWorkersEndpoint(t *testing.T) {
 	s, w := testServer(t)
 	// Use the three most significant landmarks as the ask.
 	top := w.Landmarks.TopBySignificance(3)
-	url := fmt.Sprintf("%s/api/workers/top?landmarks=%d,%d,%d&k=4",
+	url := fmt.Sprintf("%s/v1/workers/top?landmarks=%d,%d,%d&k=4",
 		s.URL, top[0].ID, top[1].ID, top[2].ID)
 	resp := mustGet(t, url)
 	if resp.StatusCode != http.StatusOK {
@@ -170,19 +203,19 @@ func TestTopWorkersEndpoint(t *testing.T) {
 		}
 	}
 	// Missing landmarks param.
-	resp = mustGet(t, s.URL+"/api/workers/top")
+	resp = mustGet(t, s.URL+"/v1/workers/top")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing landmarks status = %d", resp.StatusCode)
 	}
 	// Garbage landmark ID.
-	resp = mustGet(t, s.URL+"/api/workers/top?landmarks=a,b")
+	resp = mustGet(t, s.URL+"/v1/workers/top?landmarks=a,b")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad landmark status = %d", resp.StatusCode)
 	}
 	// Garbage k.
-	resp = mustGet(t, fmt.Sprintf("%s/api/workers/top?landmarks=%d&k=-1", s.URL, top[0].ID))
+	resp = mustGet(t, fmt.Sprintf("%s/v1/workers/top?landmarks=%d&k=-1", s.URL, top[0].ID))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad k status = %d", resp.StatusCode)
@@ -193,14 +226,14 @@ func TestTruthsEndpoint(t *testing.T) {
 	s, w := testServer(t)
 	// Ensure at least one truth exists.
 	trip := w.Data.Trips[1]
-	postJSON(t, s.URL+"/api/recommend", RecommendRequest{
+	postJSON(t, s.URL+"/v1/recommend", RecommendRequest{
 		From: trip.Route.Source(), To: trip.Route.Dest(), DepartMin: float64(trip.Depart),
 	}).Body.Close()
-	resp := mustGet(t, s.URL+"/api/truths")
+	resp := mustGet(t, s.URL+"/v1/truths")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	truths := decode[[]TruthInfo](t, resp)
+	truths := decode[Page[TruthInfo]](t, resp).Items
 	if len(truths) == 0 {
 		t.Error("no truths listed")
 	}
@@ -215,10 +248,10 @@ func TestSourcesEndpoint(t *testing.T) {
 	s, w := testServer(t)
 	// Resolve at least one request so sources have outcomes.
 	trip := w.Data.Trips[3]
-	postJSON(t, s.URL+"/api/recommend", RecommendRequest{
+	postJSON(t, s.URL+"/v1/recommend", RecommendRequest{
 		From: trip.Route.Source(), To: trip.Route.Dest(), DepartMin: float64(trip.Depart),
 	}).Body.Close()
-	resp := mustGet(t, s.URL+"/api/sources")
+	resp := mustGet(t, s.URL+"/v1/sources")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
@@ -250,7 +283,7 @@ func TestConcurrentRequests(t *testing.T) {
 				DepartMin: float64(trip.Depart),
 			}
 			b, _ := json.Marshal(req)
-			resp, err := http.Post(s.URL+"/api/recommend", "application/json", bytes.NewReader(b))
+			resp, err := http.Post(s.URL+"/v1/recommend", "application/json", bytes.NewReader(b))
 			if err != nil {
 				errs <- err
 				return

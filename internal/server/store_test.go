@@ -17,7 +17,7 @@ func TestHealthReportsStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := decode[HealthV1Response](t, resp)
+	h := decode[HealthResponse](t, resp)
 	if h.Store.Backend != "none" {
 		t.Fatalf("store backend = %q, want none (default)", h.Store.Backend)
 	}
@@ -56,7 +56,7 @@ func TestAdminSnapshotEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := decode[HealthV1Response](t, hr)
+	h := decode[HealthResponse](t, hr)
 	if h.Store.Backend != "disk" || h.Store.TruthAppends == 0 {
 		t.Fatalf("health store section = %+v", h.Store)
 	}

@@ -28,6 +28,9 @@ type TrajTrip struct {
 	Nodes     []int64 `json:"nodes"`      // route node sequence
 }
 
+// trajMaxItems caps the trips one POST /v1/trajectories call may carry.
+const trajMaxItems = 1024
+
 // IngestRequest is the POST /v1/trajectories body.
 type IngestRequest struct {
 	Trips []TrajTrip `json:"trips"`
@@ -40,26 +43,26 @@ type IngestResponse struct {
 	TotalTrips int                    `json:"total_trips"`
 }
 
-func (s *Server) handleIngestTrajectories(w http.ResponseWriter, r *http.Request, v1 bool) {
+func (s *Server) handleIngestTrajectories(w http.ResponseWriter, r *http.Request) {
 	// Ingested trips must be durable to be honest: while the storage
 	// breaker is open their append would be short-circuited, so the whole
 	// endpoint is refused (503) rather than accepting data that would
 	// vanish on restart.
-	if s.rejectIfDegraded(w, r, v1) {
+	if s.rejectIfDegraded(w, r) {
 		return
 	}
 	var req IngestRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, v1, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: %v", err)
+		writeErr(w, r, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: %v", err)
 		return
 	}
 	if len(req.Trips) == 0 {
-		writeErr(w, r, v1, http.StatusBadRequest, CodeBadRequest, "trips array is empty")
+		writeErr(w, r, http.StatusBadRequest, CodeBadRequest, "trips array is empty")
 		return
 	}
-	if len(req.Trips) > s.trajMaxItems {
-		writeErr(w, r, v1, http.StatusRequestEntityTooLarge, CodeTooLarge,
-			"batch has %d trips, limit is %d", len(req.Trips), s.trajMaxItems)
+	if len(req.Trips) > trajMaxItems {
+		writeErr(w, r, http.StatusRequestEntityTooLarge, CodeTooLarge,
+			"batch has %d trips, limit is %d", len(req.Trips), trajMaxItems)
 		return
 	}
 	// Node IDs arrive as int64 but roadnet.NodeID is int32: values outside

@@ -14,7 +14,7 @@ import (
 func ingestServer(t *testing.T) (*httptest.Server, *core.Scenario) {
 	t.Helper()
 	scn := core.BuildScenario(core.SmallScenarioConfig())
-	srv := httptest.NewServer(New(scn.System, WithTrajBatchLimit(8)).Handler())
+	srv := httptest.NewServer(New(scn.System).Handler())
 	t.Cleanup(srv.Close)
 	return srv, scn
 }
@@ -69,7 +69,7 @@ func TestIngestTrajectories(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	health := decode[HealthV1Response](t, hres)
+	health := decode[HealthResponse](t, hres)
 	if health.Trips != before+1 {
 		t.Fatalf("health trips = %d, want %d", health.Trips, before+1)
 	}
@@ -88,8 +88,8 @@ func TestIngestTrajectoriesValidation(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Over the configured limit (8 for this server).
-	big := make([]map[string]any, 9)
+	// Over the limit.
+	big := make([]map[string]any, trajMaxItems+1)
 	for i := range big {
 		big[i] = map[string]any{"driver": 1, "depart_min": 500, "nodes": []int64{0, 1}}
 	}

@@ -157,13 +157,13 @@ func TestV1BatchValidation(t *testing.T) {
 	resp := postJSON(t, s.URL+"/v1/recommend/batch", BatchRecommendRequest{})
 	decodeEnvelope(t, resp, http.StatusBadRequest, "bad_request")
 
-	// Over the configured item limit.
-	small := httptest.NewServer(New(w.System, WithBatchLimits(2, 1)).Handler())
-	defer small.Close()
+	// Over the item limit.
 	trip := w.Data.Trips[0]
-	item := RecommendRequest{From: trip.Route.Source(), To: trip.Route.Dest(), DepartMin: float64(trip.Depart)}
-	resp = postJSON(t, small.URL+"/v1/recommend/batch",
-		BatchRecommendRequest{Items: []RecommendRequest{item, item, item}})
+	items := make([]RecommendRequest, batchMaxItems+1)
+	for i := range items {
+		items[i] = RecommendRequest{From: trip.Route.Source(), To: trip.Route.Dest(), DepartMin: float64(trip.Depart)}
+	}
+	resp = postJSON(t, s.URL+"/v1/recommend/batch", BatchRecommendRequest{Items: items})
 	decodeEnvelope(t, resp, http.StatusRequestEntityTooLarge, "too_large")
 }
 
@@ -204,7 +204,9 @@ func TestV1Pagination(t *testing.T) {
 	}
 }
 
-func TestLegacyAliasShapes(t *testing.T) {
+// TestV1EmptyListsAreArrays: lists over an empty store answer [] rather
+// than null, both bare (sources) and paged (truths).
+func TestV1EmptyListsAreArrays(t *testing.T) {
 	_, w := testServer(t)
 	// A fresh system: empty truth DB and untouched source stats.
 	fresh := core.New(w.System.Config(), w.Graph, w.Landmarks, w.Data, w.Pool,
@@ -212,47 +214,21 @@ func TestLegacyAliasShapes(t *testing.T) {
 	srv := httptest.NewServer(New(fresh).Handler())
 	defer srv.Close()
 
-	// Deprecated aliases answer with a Deprecation header and a pointer to
-	// the /v1 successor.
-	resp := mustGet(t, srv.URL+"/api/truths")
-	if resp.Header.Get("Deprecation") != "true" || !strings.Contains(resp.Header.Get("Link"), "/v1/truths") {
-		t.Errorf("missing deprecation headers: %v", resp.Header)
+	r := mustGet(t, srv.URL+"/v1/sources")
+	raw, _ := io.ReadAll(r.Body)
+	r.Body.Close()
+	if got := strings.TrimSpace(string(raw)); got != "[]" {
+		t.Errorf("/v1/sources empty body = %q, want []", got)
 	}
-	// Legacy payload shape: a bare array — and [] (not null) when empty.
-	for _, path := range []string{"/api/truths", "/api/sources"} {
-		r := mustGet(t, srv.URL+path)
-		raw, _ := io.ReadAll(r.Body)
-		r.Body.Close()
-		if got := strings.TrimSpace(string(raw)); got != "[]" {
-			t.Errorf("%s empty body = %q, want []", path, got)
-		}
-	}
-	resp.Body.Close()
-
-	// Legacy error shape: {"error": "<message>"} with the same statuses.
-	r := postJSON(t, srv.URL+"/api/recommend", RecommendRequest{From: 3, To: 3})
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("legacy bad request status = %d", r.StatusCode)
-	}
-	var legacy map[string]string
-	if err := json.NewDecoder(r.Body).Decode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if legacy["error"] == "" {
-		t.Errorf("legacy error shape = %v", legacy)
-	}
-
-	// Legacy health keeps the pre-versioning shape: no serving metrics.
-	hr := mustGet(t, srv.URL+"/api/health")
-	raw, _ := io.ReadAll(hr.Body)
-	hr.Body.Close()
-	if strings.Contains(string(raw), `"endpoints"`) {
-		t.Error("legacy /api/health grew v1-only fields")
+	r = mustGet(t, srv.URL+"/v1/truths")
+	raw, _ = io.ReadAll(r.Body)
+	r.Body.Close()
+	if !strings.Contains(string(raw), `"items":[]`) {
+		t.Errorf("/v1/truths empty body = %s, want items []", raw)
 	}
 }
 
-func TestLegacyLandmarksEmptyIsArray(t *testing.T) {
+func TestV1LandmarksEmptyIsArray(t *testing.T) {
 	_, w := testServer(t)
 	cfg := w.System.Config()
 	cfg.UsePMF = false // no familiarity model to fit over zero landmarks
@@ -261,11 +237,11 @@ func TestLegacyLandmarksEmptyIsArray(t *testing.T) {
 	srv := httptest.NewServer(New(empty).Handler())
 	defer srv.Close()
 
-	r := mustGet(t, srv.URL+"/api/landmarks")
+	r := mustGet(t, srv.URL+"/v1/landmarks")
 	raw, _ := io.ReadAll(r.Body)
 	r.Body.Close()
-	if got := strings.TrimSpace(string(raw)); got != "[]" {
-		t.Errorf("/api/landmarks empty body = %q, want []", got)
+	if !strings.Contains(string(raw), `"items":[]`) {
+		t.Errorf("/v1/landmarks empty body = %s, want items []", raw)
 	}
 }
 
@@ -294,7 +270,7 @@ func TestV1HealthMetricsAndRequestID(t *testing.T) {
 		From: trip.Route.Source(), To: trip.Route.Dest(), DepartMin: float64(trip.Depart),
 	}).Body.Close()
 
-	h := decode[HealthV1Response](t, mustGet(t, srv.URL+"/v1/health"))
+	h := decode[HealthResponse](t, mustGet(t, srv.URL+"/v1/health"))
 	if h.Status != "ok" || h.OpenTasks != 0 || h.UptimeSec <= 0 {
 		t.Errorf("health = %+v", h)
 	}
@@ -335,6 +311,8 @@ func TestV1UnmatchedRoutesUseEnvelope(t *testing.T) {
 	s, _ := testServer(t)
 	// Unknown path: envelope 404, not ServeMux's plain-text page.
 	decodeEnvelope(t, mustGet(t, s.URL+"/v1/nope"), http.StatusNotFound, "not_found")
+	// The retired pre-versioning paths are unknown paths like any other.
+	decodeEnvelope(t, mustGet(t, s.URL+"/api/health"), http.StatusNotFound, "not_found")
 
 	// Wrong method on a known path: envelope 405 with Allow.
 	resp := mustGet(t, s.URL+"/v1/recommend")
@@ -342,4 +320,13 @@ func TestV1UnmatchedRoutesUseEnvelope(t *testing.T) {
 		t.Errorf("Allow = %q, want POST", allow)
 	}
 	decodeEnvelope(t, resp, http.StatusMethodNotAllowed, "method_not_allowed")
+}
+
+// TestOutOfRangeIDsRejected: worker and landmark IDs are int32; a wider value
+// must be a 400, not wrapped onto another worker or landmark (2^32+89 would
+// otherwise rank landmark 89, 2^32 would list worker 0's tasks).
+func TestOutOfRangeIDsRejected(t *testing.T) {
+	s, _ := testServer(t)
+	decodeEnvelope(t, mustGet(t, s.URL+"/v1/workers/top?landmarks=4294967385"), http.StatusBadRequest, "bad_request")
+	decodeEnvelope(t, mustGet(t, s.URL+"/v1/workers/4294967296/tasks"), http.StatusBadRequest, "bad_request")
 }
