@@ -216,7 +216,7 @@ func TestNoCandidatesError(t *testing.T) {
 	g.AddRoad(a, b, roadnet.Local, 40, 0)
 
 	lms := landmark.NewSet(nil)
-	data := &traj.Dataset{Graph: g}
+	data := traj.NewDataset(g, nil, nil)
 	pool := &worker.Pool{}
 	cfg := DefaultConfig()
 	sys := New(cfg, g, lms, data, pool, &PopulationOracle{Data: data, Sample: 1})

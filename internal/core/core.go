@@ -263,7 +263,7 @@ func New(cfg Config, g *roadnet.Graph, lms *landmark.Set, data *traj.Dataset, po
 		graph:     g,
 		landmarks: lms,
 		data:      data,
-		truth:     truth.NewDB(cfg.TruthSlots),
+		truth:     truth.NewDB(g, cfg.TruthSlots, cfg.TruthRadius),
 		pool:      pool,
 		miners:    []popular.Miner{popular.NewMPR(), popular.NewLDR(), popular.NewMFP()},
 		oracle:    oracle,
@@ -273,9 +273,6 @@ func New(cfg Config, g *roadnet.Graph, lms *landmark.Set, data *traj.Dataset, po
 		breaker:   breaker,
 		flights:   make(map[routecache.Key]*flight),
 	}
-	// Spatial truth index: bucket truths by from-endpoint cell sized to the
-	// confidence query radius, so Near touches only nearby buckets.
-	s.truth.EnableSpatialIndex(g, cfg.TruthRadius)
 	// ALT landmark tables: one preprocessing pass per web-service cost
 	// model, shared by every proposal search this System runs. Every
 	// proposal search then runs with landmark lower bounds: same routes as
@@ -283,13 +280,6 @@ func New(cfg Config, g *roadnet.Graph, lms *landmark.Set, data *traj.Dataset, po
 	// the node count, so tiny graphs build tiny tables.
 	s.prepDist = routing.Preprocess(g, routing.DistanceCost, routing.DefaultPrepConfig())
 	s.prepTime = routing.Preprocess(g, routing.TravelTimeCost, routing.DefaultPrepConfig())
-	// Mining index: endpoint grid + footmark frequency graphs over the
-	// trajectory corpus, so the popular-route miners answer from a handful
-	// of buckets instead of re-scanning every trip, and IngestTrips can grow
-	// the corpus while serving.
-	if data != nil {
-		data.EnableMiningIndex()
-	}
 	s.RefreshFamiliarity()
 	return s
 }

@@ -102,10 +102,10 @@ func TestRecommendIsolatedDataset(t *testing.T) {
 	// A system over an empty trajectory corpus: miners always decline, only
 	// web-service candidates exist, and the pipeline still answers.
 	s := scenario(t)
-	emptyCopy := traj.Dataset{Graph: s.Data.Graph, Drivers: s.Data.Drivers}
+	emptyCopy := traj.NewDataset(s.Data.Graph, s.Data.Drivers, nil)
 	cfg := s.System.Config()
 	cfg.ReuseTruth = false
-	sys := New(cfg, s.Graph, s.Landmarks, &emptyCopy, s.Pool,
+	sys := New(cfg, s.Graph, s.Landmarks, emptyCopy, s.Pool,
 		&PopulationOracle{Data: s.Data, Sample: 30})
 
 	from, to, depart := pickOD(s)

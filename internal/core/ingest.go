@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"crowdplanner/internal/roadnet"
 	"crowdplanner/internal/routecache"
@@ -77,8 +78,8 @@ func (s *System) validateTrip(tr *traj.Trajectory) string {
 	if !tr.Route.Valid(s.graph) {
 		return "route is not connected in the road network"
 	}
-	if tr.Depart < 0 {
-		return fmt.Sprintf("negative departure time %v", float64(tr.Depart))
+	if d := float64(tr.Depart); d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
+		return fmt.Sprintf("departure time %v is negative or not finite", d)
 	}
 	return ""
 }

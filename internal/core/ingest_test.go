@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
 	"crowdplanner/internal/roadnet"
+	"crowdplanner/internal/routing"
 	"crowdplanner/internal/traj"
 )
 
@@ -54,8 +56,10 @@ func TestIngestTripsValidationAndVisibility(t *testing.T) {
 	bad := []traj.Trajectory{
 		{Route: roadnet.Route{}}, // empty
 		{Route: roadnet.NewRoute(0, roadnet.NodeID(s.Graph.NumNodes())+5)}, // out of range
-		{Route: disconnected},              // nodes exist, edge does not
-		{Route: good[0].Route, Depart: -5}, // negative depart
+		{Route: disconnected},                                        // nodes exist, edge does not
+		{Route: good[0].Route, Depart: -5},                           // negative depart
+		{Route: good[0].Route, Depart: routing.SimTime(math.NaN())},  // NaN depart
+		{Route: good[0].Route, Depart: routing.SimTime(math.Inf(1))}, // +Inf depart
 	}
 	rep := sys.IngestTrips(append(append([]traj.Trajectory{}, good...), bad...))
 	if rep.Accepted != len(good) {

@@ -10,11 +10,12 @@ import (
 	"crowdplanner/internal/traj"
 )
 
-// The tests in this file pin the mining index's correctness contract: every
-// miner must return bit-identical results — route, support, and error — on
-// an indexed dataset and on a plain (linear-scan) dataset holding the same
-// trips, including trips that arrived through live ingestion. The
-// benchmarks at the bottom are the acceptance measurements at 100k trips.
+// The tests in this file pin the miners' ingestion contract: every miner
+// must return bit-identical results — route, support, and error — on a
+// dataset built with all its trips and on one that received half of them
+// through live ingestion. (Each index query the miners read is pinned
+// against a linear scan in package traj.) The benchmarks at the bottom
+// measure the miners at 100k trips.
 
 // corpusGraph is the mid-size generated city shared by corpus builders.
 func corpusGraph(tb testing.TB) *roadnet.Graph {
@@ -67,15 +68,14 @@ func syntheticTrips(templates []roadnet.Route, nTrips int, seed int64) []traj.Tr
 	return trips
 }
 
-// twinDatasets builds two datasets holding identical trips: one linear-scan
-// (the baseline) and one with the mining index, where half the trips are
-// present at index build time and half arrive through IngestTrips — so the
-// equivalence also covers the incremental (copy-on-write) update path.
-func twinDatasets(tb testing.TB, g *roadnet.Graph, trips []traj.Trajectory) (scan, indexed *traj.Dataset) {
+// twinDatasets builds two datasets holding identical trips: one with every
+// trip present at construction, and one where half the trips are present at
+// construction and half arrive through IngestTrips — so the equivalence
+// also covers the incremental (copy-on-write) update path.
+func twinDatasets(tb testing.TB, g *roadnet.Graph, trips []traj.Trajectory) (built, grown *traj.Dataset) {
 	tb.Helper()
-	scan = &traj.Dataset{Graph: g, Trips: append([]traj.Trajectory(nil), trips...)}
-	indexed = &traj.Dataset{Graph: g, Trips: append([]traj.Trajectory(nil), trips[:len(trips)/2]...)}
-	indexed.EnableMiningIndex()
+	built = traj.NewDataset(g, nil, append([]traj.Trajectory(nil), trips...))
+	grown = traj.NewDataset(g, nil, append([]traj.Trajectory(nil), trips[:len(trips)/2]...))
 	// Ingest the second half in several batches.
 	rest := trips[len(trips)/2:]
 	for len(rest) > 0 {
@@ -83,23 +83,22 @@ func twinDatasets(tb testing.TB, g *roadnet.Graph, trips []traj.Trajectory) (sca
 		if n > len(rest) {
 			n = len(rest)
 		}
-		indexed.IngestTrips(rest[:n])
+		grown.IngestTrips(rest[:n])
 		rest = rest[n:]
 	}
-	return scan, indexed
+	return built, grown
 }
 
-// TestIndexedMinersMatchScan is the correctness anchor: for many random
-// queries all three miners must agree exactly between the indexed dataset
-// (half built, half ingested) and the linear-scan baseline.
-func TestIndexedMinersMatchScan(t *testing.T) {
+// TestMinersIngestedMatchBuilt is the correctness anchor: for many random
+// queries all three miners must agree exactly between the dataset grown
+// through ingestion and the one built with every trip.
+func TestMinersIngestedMatchBuilt(t *testing.T) {
 	g := corpusGraph(t)
 	templates := routeTemplates(t, g, 40, 5)
-	trips := syntheticTrips(templates, 4000, 6)
-	scan, indexed := twinDatasets(t, g, trips)
-	if !indexed.MiningIndexed() || scan.MiningIndexed() {
-		t.Fatal("dataset index flags wrong")
-	}
+	// The ingested half carries routes the built half lacks, so a trip the
+	// incremental path drops or double-counts changes the mined results.
+	trips := append(syntheticTrips(templates[:20], 2000, 6), syntheticTrips(templates, 2000, 7)...)
+	built, grown := twinDatasets(t, g, trips)
 
 	miners := []Miner{NewMPR(), NewMFP(), NewLDR()}
 	rng := rand.New(rand.NewSource(77))
@@ -117,13 +116,13 @@ func TestIndexedMinersMatchScan(t *testing.T) {
 		// Fractional hours probe the MFP slot boundaries.
 		tm := routing.SimTime(rng.Float64() * 7 * 24 * 60)
 		for _, m := range miners {
-			wantR, wantS, wantErr := m.Mine(scan, from, to, tm)
-			gotR, gotS, gotErr := m.Mine(indexed, from, to, tm)
+			wantR, wantS, wantErr := m.Mine(built, from, to, tm)
+			gotR, gotS, gotErr := m.Mine(grown, from, to, tm)
 			if !errors.Is(gotErr, wantErr) && (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("%s query %d (%d→%d @%v): err %v vs scan %v", m.Name(), q, from, to, tm, gotErr, wantErr)
+				t.Fatalf("%s query %d (%d→%d @%v): err %v vs built %v", m.Name(), q, from, to, tm, gotErr, wantErr)
 			}
 			if !gotR.Equal(wantR) || gotS != wantS {
-				t.Fatalf("%s query %d (%d→%d @%v): route/support %v %v vs scan %v %v",
+				t.Fatalf("%s query %d (%d→%d @%v): route/support %v %v vs built %v %v",
 					m.Name(), q, from, to, tm, gotR, gotS, wantR, wantS)
 			}
 		}
@@ -132,8 +131,8 @@ func TestIndexedMinersMatchScan(t *testing.T) {
 
 // TestMFPWindowBoundaryExact targets the full-slot/boundary-slot split of
 // the footmark index: query hours sitting exactly on slot edges and window
-// edges must produce identical frequency graphs, which the bottleneck
-// support value surfaces.
+// edges must produce identical frequency graphs on both datasets, which the
+// bottleneck support value surfaces.
 func TestMFPWindowBoundaryExact(t *testing.T) {
 	g := corpusGraph(t)
 	templates := routeTemplates(t, g, 10, 9)
@@ -150,15 +149,15 @@ func TestMFPWindowBoundaryExact(t *testing.T) {
 			d++
 		}
 	}
-	scan, indexed := twinDatasets(t, g, trips)
+	built, grown := twinDatasets(t, g, trips)
 	m := NewMFP()
 	for _, qh := range []float64{0, 4.0, 4.001, 6.0, 7.999, 8.0, 8.001, 12.0, 23.999, 2.0, 10.0} {
 		tm := routing.SimTime(qh * 60)
 		for _, r := range templates[:3] {
-			wantR, wantS, wantErr := m.Mine(scan, r.Source(), r.Dest(), tm)
-			gotR, gotS, gotErr := m.Mine(indexed, r.Source(), r.Dest(), tm)
+			wantR, wantS, wantErr := m.Mine(built, r.Source(), r.Dest(), tm)
+			gotR, gotS, gotErr := m.Mine(grown, r.Source(), r.Dest(), tm)
 			if (gotErr == nil) != (wantErr == nil) || gotS != wantS || !gotR.Equal(wantR) {
-				t.Fatalf("qh=%v od=%d→%d: indexed (%v,%v,%v) vs scan (%v,%v,%v)",
+				t.Fatalf("qh=%v od=%d→%d: grown (%v,%v,%v) vs built (%v,%v,%v)",
 					qh, r.Source(), r.Dest(), gotR, gotS, gotErr, wantR, wantS, wantErr)
 			}
 		}
@@ -166,13 +165,13 @@ func TestMFPWindowBoundaryExact(t *testing.T) {
 }
 
 // TestMinersDeterministicAcrossRuns: the sorted-adjacency searches must make
-// tie-broken results stable run to run on both paths.
+// tie-broken results stable run to run on both datasets.
 func TestMinersDeterministicAcrossRuns(t *testing.T) {
 	g := corpusGraph(t)
 	templates := routeTemplates(t, g, 20, 15)
 	trips := syntheticTrips(templates, 1500, 16)
-	scan, indexed := twinDatasets(t, g, trips)
-	for _, ds := range []*traj.Dataset{scan, indexed} {
+	built, grown := twinDatasets(t, g, trips)
+	for _, ds := range []*traj.Dataset{built, grown} {
 		for _, m := range []Miner{NewMPR(), NewMFP(), NewLDR()} {
 			r := templates[0]
 			r1, s1, e1 := m.Mine(ds, r.Source(), r.Dest(), routing.At(1, 9, 30))
@@ -184,48 +183,29 @@ func TestMinersDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// ---- acceptance benchmarks: indexed miners vs linear scan at 100k trips ----
+// ---- benchmarks: the miners at 100k trips ----
 
 var benchState struct {
-	g         *roadnet.Graph
 	templates []roadnet.Route
-	scan      *traj.Dataset
-	indexed   *traj.Dataset
+	ds        *traj.Dataset
 }
 
-func bench100k(b *testing.B) {
-	b.Helper()
-	if benchState.g == nil {
+func benchMine(b *testing.B, m Miner) {
+	if benchState.ds == nil {
 		g := corpusGraph(b)
 		// ~300 distinct ODs at ~330 trips each: large-corpus shape where no
 		// single OD pair hoards the trips.
-		templates := routeTemplates(b, g, 300, 21)
-		trips := syntheticTrips(templates, 100_000, 22)
-		benchState.g = g
-		benchState.templates = templates
-		benchState.scan = &traj.Dataset{Graph: g, Trips: trips}
-		benchState.indexed = &traj.Dataset{Graph: g, Trips: append([]traj.Trajectory(nil), trips...)}
-		benchState.indexed.EnableMiningIndex()
-	}
-}
-
-func benchMine(b *testing.B, m Miner, indexed bool) {
-	bench100k(b)
-	ds := benchState.scan
-	if indexed {
-		ds = benchState.indexed
+		benchState.templates = routeTemplates(b, g, 300, 21)
+		benchState.ds = traj.NewDataset(g, nil, syntheticTrips(benchState.templates, 100_000, 22))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := benchState.templates[i%len(benchState.templates)]
 		tm := routing.At(i%7, (8+i)%24, 30)
-		_, _, _ = m.Mine(ds, r.Source(), r.Dest(), tm)
+		_, _, _ = m.Mine(benchState.ds, r.Source(), r.Dest(), tm)
 	}
 }
 
-func BenchmarkMineIndexedMPR100k(b *testing.B) { benchMine(b, NewMPR(), true) }
-func BenchmarkMineScanMPR100k(b *testing.B)    { benchMine(b, NewMPR(), false) }
-func BenchmarkMineIndexedMFP100k(b *testing.B) { benchMine(b, NewMFP(), true) }
-func BenchmarkMineScanMFP100k(b *testing.B)    { benchMine(b, NewMFP(), false) }
-func BenchmarkMineIndexedLDR100k(b *testing.B) { benchMine(b, NewLDR(), true) }
-func BenchmarkMineScanLDR100k(b *testing.B)    { benchMine(b, NewLDR(), false) }
+func BenchmarkMineIndexedMPR100k(b *testing.B) { benchMine(b, NewMPR()) }
+func BenchmarkMineIndexedMFP100k(b *testing.B) { benchMine(b, NewMFP()) }
+func BenchmarkMineIndexedLDR100k(b *testing.B) { benchMine(b, NewLDR()) }

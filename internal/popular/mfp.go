@@ -29,21 +29,14 @@ func NewMFP() *MFP { return &MFP{WindowHours: 2, MinBottleneck: 2} }
 // Name implements Miner.
 func (m *MFP) Name() string { return "MFP" }
 
-// Mine implements Miner. On a dataset with the mining index enabled the
-// time-window footmark graph is assembled from per-slot aggregates (only
-// boundary slots are filtered trip by trip); otherwise every trip is
-// scanned — the benchmark baseline. Both produce the same frequency map and
-// feed the same deterministic searches.
+// Mine implements Miner. The time-window footmark graph comes from the
+// dataset's per-slot aggregates (only boundary slots are filtered trip by
+// trip).
 func (m *MFP) Mine(ds *traj.Dataset, from, to roadnet.NodeID, t routing.SimTime) (roadnet.Route, float64, error) {
 	if err := validateOD(ds.Graph, from, to); err != nil {
 		return roadnet.Route{}, 0, err
 	}
-	// Footmark graph restricted to the time window.
-	hour := t.HourOfDay()
-	freq, ok := ds.FootmarksNearHour(hour, m.WindowHours)
-	if !ok {
-		freq = scanFootmarks(ds, hour, m.WindowHours)
-	}
+	freq := ds.FootmarksNearHour(t.HourOfDay(), m.WindowHours)
 	if len(freq) == 0 {
 		return roadnet.Route{}, 0, ErrNotEnoughData
 	}

@@ -57,19 +57,13 @@ func (q *mprQueue) Pop() any {
 	return it
 }
 
-// Mine implements Miner. On a dataset with the mining index enabled the
-// transfer network comes straight from the index's corpus-wide transition
-// totals (kept current by ingestion); otherwise it is rebuilt by scanning
-// every trip — the benchmark baseline. Both paths feed the same
-// deterministic search and return bit-identical routes.
+// Mine implements Miner. The transfer network comes straight from the
+// dataset's corpus-wide transition totals (kept current by ingestion).
 func (m *MPR) Mine(ds *traj.Dataset, from, to roadnet.NodeID, _ routing.SimTime) (roadnet.Route, float64, error) {
 	if err := validateOD(ds.Graph, from, to); err != nil {
 		return roadnet.Route{}, 0, err
 	}
-	counts, outTotals, ok := ds.TransitionTotals()
-	if !ok {
-		counts, outTotals = scanTransitions(ds)
-	}
+	counts, outTotals := ds.TransitionTotals()
 	if outTotals[from] < m.MinTransitions {
 		return roadnet.Route{}, 0, ErrNotEnoughData
 	}

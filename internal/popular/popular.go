@@ -34,18 +34,11 @@ type Miner interface {
 	Mine(ds *traj.Dataset, from, to roadnet.NodeID, t routing.SimTime) (route roadnet.Route, support float64, err error)
 }
 
-// tripTransitions iterates the consecutive node pairs of a matched route
-// (thin adapter over the shared traj.RouteTransitions definition).
-func tripTransitions(r roadnet.Route, fn func(from, to roadnet.NodeID)) {
-	traj.RouteTransitions(r, func(t traj.Transition) { fn(t.From, t.To) })
-}
-
 // adjacency groups a transition-frequency map's keys by source node, each
 // list sorted by destination. The searches relax a node's transitions in
 // this order, which (together with the priority queues' node tie-breaks)
-// makes tie-broken results independent of map iteration order — the property
-// that lets the indexed miners pin bit-identical routes against the scan
-// baselines.
+// makes tie-broken results independent of map iteration order, so equal
+// frequency maps always yield bit-identical routes.
 func adjacency(freq map[traj.Transition]int) map[roadnet.NodeID][]traj.Transition {
 	adj := map[roadnet.NodeID][]traj.Transition{}
 	for k := range freq {
@@ -56,38 +49,6 @@ func adjacency(freq map[traj.Transition]int) map[roadnet.NodeID][]traj.Transitio
 		sort.Slice(ts, func(i, j int) bool { return ts[i].To < ts[j].To })
 	}
 	return adj
-}
-
-// scanTransitions is the linear-scan fallback (and benchmark baseline) for
-// MPR's transfer network: corpus-wide transition counts and per-node
-// outgoing totals. Datasets with the mining index enabled answer the same
-// query from Dataset.TransitionTotals without touching the trips.
-func scanTransitions(ds *traj.Dataset) (map[traj.Transition]int, map[roadnet.NodeID]int) {
-	counts := map[traj.Transition]int{}
-	out := map[roadnet.NodeID]int{}
-	ds.ForEachTrip(func(trip *traj.Trajectory) {
-		tripTransitions(trip.Route, func(a, b roadnet.NodeID) {
-			counts[traj.Transition{From: a, To: b}]++
-			out[a]++
-		})
-	})
-	return counts, out
-}
-
-// scanFootmarks is the linear-scan fallback (and benchmark baseline) for
-// MFP's time-period footmark graph: transition frequencies over trips
-// departing within window hours (circularly) of hour.
-func scanFootmarks(ds *traj.Dataset, hour, window float64) map[traj.Transition]int {
-	freq := map[traj.Transition]int{}
-	ds.ForEachTrip(func(trip *traj.Trajectory) {
-		if hourDistance(trip.Depart.HourOfDay(), hour) > window {
-			return
-		}
-		tripTransitions(trip.Route, func(a, b roadnet.NodeID) {
-			freq[traj.Transition{From: a, To: b}]++
-		})
-	})
-	return freq
 }
 
 // modeRoute returns the most common route in rs (by exact node sequence),
@@ -158,12 +119,6 @@ func hashNodes(nodes []roadnet.NodeID) uint64 {
 	}
 	return h
 }
-
-// hourDistance returns the circular distance in hours between two
-// hours-of-day. It delegates to the shared traj.HourDist so the miners'
-// scan filters and the mining index's boundary-slot filter can never
-// disagree trip by trip.
-func hourDistance(a, b float64) float64 { return traj.HourDist(a, b) }
 
 // validateOD checks node IDs against the graph.
 func validateOD(g *roadnet.Graph, from, to roadnet.NodeID) error {

@@ -40,7 +40,7 @@ func mkTrip(driver traj.DriverID, depart routing.SimTime, nodes ...roadnet.NodeI
 }
 
 func ladderDataset(trips ...traj.Trajectory) *traj.Dataset {
-	return &traj.Dataset{Graph: ladder(), Trips: trips}
+	return traj.NewDataset(ladder(), nil, trips)
 }
 
 func TestMPRFollowsDominantFlow(t *testing.T) {
@@ -314,20 +314,6 @@ func TestMinersOnGeneratedCorpus(t *testing.T) {
 		}
 		if support <= 0 {
 			t.Errorf("%s: support = %v", m.Name(), support)
-		}
-	}
-}
-
-func TestHourDistance(t *testing.T) {
-	cases := []struct{ a, b, want float64 }{
-		{8, 10, 2},
-		{23, 1, 2},
-		{0, 12, 12},
-		{6, 6, 0},
-	}
-	for _, c := range cases {
-		if got := hourDistance(c.a, c.b); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("hourDistance(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }

@@ -12,6 +12,7 @@ package roadnet
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"crowdplanner/internal/geo"
 )
@@ -102,7 +103,8 @@ type Graph struct {
 	out   [][]EdgeID // out[n] lists edges leaving node n
 	in    [][]EdgeID // in[n] lists edges entering node n
 
-	index *geo.Grid // nearest-node index, built lazily by EnsureIndex
+	index     *geo.Grid // nearest-node index, built on first use by ensureIndex
+	indexOnce sync.Once
 
 	// Heuristic bounds tracked at construction, so goal-directed search
 	// stays admissible for any graph however it was built (generator,
@@ -226,21 +228,22 @@ func (g *Graph) BBox() geo.BBox {
 	return b
 }
 
-// EnsureIndex builds the nearest-node spatial index if not yet built.
-func (g *Graph) EnsureIndex() {
-	if g.index != nil || len(g.nodes) == 0 {
-		return
-	}
-	b := g.BBox().Buffer(1)
-	cell := math.Max(b.Width(), b.Height()) / 64
-	if cell <= 0 {
-		cell = 1
-	}
-	idx := geo.NewGrid(b, cell)
-	for _, n := range g.nodes {
-		idx.Insert(int32(n.ID), n.Pt)
-	}
-	g.index = idx
+// ensureIndex builds the nearest-node spatial index on first use. Its
+// callers are read methods that may run concurrently, so the build runs
+// exactly once. Callers reject empty graphs first.
+func (g *Graph) ensureIndex() {
+	g.indexOnce.Do(func() {
+		b := g.BBox().Buffer(1)
+		cell := math.Max(b.Width(), b.Height()) / 64
+		if cell <= 0 {
+			cell = 1
+		}
+		idx := geo.NewGrid(b, cell)
+		for _, n := range g.nodes {
+			idx.Insert(int32(n.ID), n.Pt)
+		}
+		g.index = idx
+	})
 }
 
 // NearestNode returns the node closest to p. ok is false for an empty graph.
@@ -248,7 +251,7 @@ func (g *Graph) NearestNode(p geo.Point) (NodeID, bool) {
 	if len(g.nodes) == 0 {
 		return 0, false
 	}
-	g.EnsureIndex()
+	g.ensureIndex()
 	id, _, ok := g.index.Nearest(p)
 	return NodeID(id), ok
 }
@@ -258,7 +261,7 @@ func (g *Graph) NodesWithin(p geo.Point, r float64) []NodeID {
 	if len(g.nodes) == 0 {
 		return nil
 	}
-	g.EnsureIndex()
+	g.ensureIndex()
 	raw := g.index.Within(p, r)
 	out := make([]NodeID, len(raw))
 	for i, id := range raw {

@@ -3,6 +3,8 @@ package roadnet
 import (
 	"bytes"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"crowdplanner/internal/geo"
@@ -113,6 +115,34 @@ func TestNodesWithin(t *testing.T) {
 			t.Fatalf("unexpected node %d in %v", id, got)
 		}
 	}
+}
+
+// TestNodeIndexConcurrentFirstUse: on a fresh graph the first NearestNode
+// and NodesWithin calls build the node index, so concurrent readers must
+// build it exactly once (run with -race).
+func TestNodeIndexConcurrentFirstUse(t *testing.T) {
+	cfg := DefaultGenConfig()
+	cfg.Cols, cfg.Rows = 10, 10
+	g := Generate(cfg)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			id := NodeID(w * 7)
+			p := g.Node(id).Pt
+			if w%2 == 0 {
+				if got, ok := g.NearestNode(p); !ok || g.Node(got).Pt != p {
+					t.Errorf("NearestNode(%v) = %d, %v", p, got, ok)
+				}
+				return
+			}
+			if !slices.Contains(g.NodesWithin(p, 1), id) {
+				t.Errorf("NodesWithin(%v, 1) misses node %d", p, id)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestRouteBasics(t *testing.T) {

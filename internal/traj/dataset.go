@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"crowdplanner/internal/geo"
 	"crowdplanner/internal/roadnet"
 	"crowdplanner/internal/routing"
 )
@@ -21,12 +20,12 @@ type OD struct {
 // the substitute for the paper's "large-scale real trajectory dataset".
 // Unlike the paper's frozen dataset it can grow at runtime: IngestTrips
 // appends to the corpus and keeps the mining indexes (see index.go) current,
-// concurrently with miner queries.
+// concurrently with miner queries. Construct with NewDataset (or
+// GenerateDataset), which builds the indexes.
 //
 // Direct access to the Trips slice is safe only before serving starts (or on
 // datasets that never ingest); concurrent readers go through NumTrips,
-// ForEachTrip, TripsBetween and the index query methods, which take the
-// dataset's lock.
+// TripsBetween and the index query methods, which take the dataset's lock.
 type Dataset struct {
 	Graph   *roadnet.Graph
 	Drivers []*Driver
@@ -41,8 +40,6 @@ type Dataset struct {
 	mu sync.RWMutex
 	//cplint:guardedby mu
 	idx *miningIndex
-	//cplint:guardedby mu
-	sealed bool
 	//cplint:guardedby mu
 	base int // trips[:base] = generated world; trips[base:] = ingested
 	// Ingestion-stream bookkeeping: ingSeqs[i] is the durable sequence
@@ -147,9 +144,9 @@ func randomDepart(rng *rand.Rand, peakBias float64) routing.SimTime {
 func GenerateDataset(g *roadnet.Graph, drivers []*Driver, cfg DatasetConfig) *Dataset {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ods, shortfall := RandomODs(g, cfg.NumODs, cfg.MinODDistM, rng)
-	ds := &Dataset{Graph: g, Drivers: drivers, ODShortfall: shortfall}
 	if len(ods) == 0 {
-		ds.sealed, ds.base = true, 0
+		ds := NewDataset(g, drivers, nil)
+		ds.ODShortfall = shortfall
 		return ds
 	}
 
@@ -169,6 +166,7 @@ func GenerateDataset(g *roadnet.Graph, drivers []*Driver, cfg DatasetConfig) *Da
 		wsum += w
 	}
 	totalTrips := cfg.TripsPerOD * cfg.NumODs
+	var trips []Trajectory
 	for i, nTrips := range apportion(totalTrips, weights, wsum) {
 		od := ods[i]
 		for k := 0; k < nTrips; k++ {
@@ -183,10 +181,26 @@ func GenerateDataset(g *roadnet.Graph, drivers []*Driver, cfg DatasetConfig) *Da
 			if err == nil {
 				tr.Route = matched
 			}
-			ds.Trips = append(ds.Trips, tr)
+			trips = append(trips, tr)
 		}
 	}
-	ds.sealed, ds.base = true, len(ds.Trips)
+	ds := NewDataset(g, drivers, trips)
+	ds.ODShortfall = shortfall
+	return ds
+}
+
+// NewDataset wraps trips as the base corpus over g and builds the mining
+// indexes over them. Trips added later through IngestTrips are the live
+// stream a storage backend persists. The dataset takes ownership of trips.
+func NewDataset(g *roadnet.Graph, drivers []*Driver, trips []Trajectory) *Dataset {
+	ds := &Dataset{Graph: g, Drivers: drivers, Trips: trips}
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	ds.base = len(trips)
+	ds.idx = newMiningIndex(defaultIndexCellM)
+	for i := range ds.Trips {
+		ds.idx.addTrip(g, i, &ds.Trips[i])
+	}
 	return ds
 }
 
@@ -218,40 +232,6 @@ func apportion(total int, weights []float64, wsum float64) []int {
 		shares[rem[k%len(rem)].i]++
 	}
 	return shares
-}
-
-// TripsBetween returns the trips whose matched route starts within radius of
-// from and ends within radius of to, in corpus order. Radius 0 requires
-// exact endpoints. With the mining index enabled only the endpoint buckets
-// overlapping the query radius are visited; the result is identical to the
-// full scan either way.
-func (ds *Dataset) TripsBetween(from, to roadnet.NodeID, radius float64) []Trajectory {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	if ds.idx != nil {
-		return ds.tripsBetweenIndexed(from, to, radius)
-	}
-	var out []Trajectory
-	fp := ds.Graph.Node(from).Pt
-	tp := ds.Graph.Node(to).Pt
-	for _, tr := range ds.Trips {
-		if tr.Route.Empty() {
-			continue
-		}
-		s := ds.Graph.Node(tr.Route.Source()).Pt
-		d := ds.Graph.Node(tr.Route.Dest()).Pt
-		if distOK(s, fp, radius) && distOK(d, tp, radius) {
-			out = append(out, tr)
-		}
-	}
-	return out
-}
-
-func distOK(a, b geo.Point, radius float64) bool {
-	if radius <= 0 {
-		return a == b
-	}
-	return geo.Dist(a, b) <= radius
 }
 
 // GroundTruth returns the population-preferred route for the OD at time t:

@@ -24,8 +24,8 @@ import (
 //
 // Determinism: every query returns exactly what the corresponding linear
 // scan over the corpus returns — same trips in the same (corpus) order, same
-// frequency-map contents — which is what lets the miners pin bit-identical
-// routes against their scan baselines.
+// frequency-map contents. The scans live on as test oracles
+// (index_test.go).
 
 // Transition is one observed hop between consecutive route nodes — the
 // "footmark" unit of the frequency graphs shared with package popular.
@@ -33,9 +33,8 @@ type Transition struct {
 	From, To roadnet.NodeID
 }
 
-// RouteTransitions visits the consecutive node pairs of a route — the one
-// definition shared by the index and the miners' scan baselines.
-func RouteTransitions(r roadnet.Route, fn func(t Transition)) {
+// routeTransitions visits the consecutive node pairs of a route.
+func routeTransitions(r roadnet.Route, fn func(t Transition)) {
 	for i := 1; i < len(r.Nodes); i++ {
 		fn(Transition{From: r.Nodes[i-1], To: r.Nodes[i]})
 	}
@@ -82,7 +81,7 @@ func (f *footmarkGraph) clone() *footmarkGraph {
 }
 
 func (f *footmarkGraph) add(r roadnet.Route) {
-	RouteTransitions(r, func(t Transition) {
+	routeTransitions(r, func(t Transition) {
 		f.counts[t]++
 		f.out[t.From]++
 	})
@@ -210,10 +209,8 @@ func (idx *miningIndex) addBatch(g *roadnet.Graph, start int, trips []Trajectory
 	}
 }
 
-// HourDist is the circular distance in hours between two hours-of-day —
-// the one definition shared by the index's boundary-slot filter and the
-// miners' window filters, so the two can never drift apart.
-func HourDist(a, b float64) float64 {
+// hourDist is the circular distance in hours between two hours-of-day.
+func hourDist(a, b float64) float64 {
 	d := a - b
 	if d < 0 {
 		d = -d
@@ -241,7 +238,7 @@ func slotCoverage(s int, hour, w float64) slotCover {
 		return slotFull // circular distance never exceeds 12
 	}
 	lo, hi := float64(s)*slotHours, float64(s+1)*slotHours
-	d0, d1 := HourDist(lo, hour), HourDist(hi, hour)
+	d0, d1 := hourDist(lo, hour), hourDist(hi, hour)
 	// Minimum distance over [lo, hi]: zero when the query hour lies inside
 	// the slot (mod 24), otherwise attained at an endpoint.
 	minD := math.Min(d0, d1)
@@ -267,40 +264,6 @@ func slotCoverage(s int, hour, w float64) slotCover {
 }
 
 // ---- Dataset query/ingestion surface ----
-
-// EnableMiningIndex builds the corpus indexes over the current trips: the
-// endpoint grid behind TripsBetween and the footmark frequency graphs behind
-// the MPR/MFP aggregate queries. It also seals the ingestion base: trips
-// present now belong to the immutable generated world; trips added later via
-// IngestTrips are the live stream (and what a storage backend persists).
-// Datasets without the index keep the linear-scan behaviour — the miners'
-// benchmark baseline.
-func (ds *Dataset) EnableMiningIndex() {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	ds.sealBaseLocked()
-	idx := newMiningIndex(defaultIndexCellM)
-	for i := range ds.Trips {
-		idx.addTrip(ds.Graph, i, &ds.Trips[i])
-	}
-	ds.idx = idx
-}
-
-// MiningIndexed reports whether the mining index is enabled.
-func (ds *Dataset) MiningIndexed() bool {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	return ds.idx != nil
-}
-
-// sealBaseLocked pins the boundary between the generated corpus and the
-// ingested stream. Idempotent; caller holds ds.mu.
-func (ds *Dataset) sealBaseLocked() {
-	if !ds.sealed {
-		ds.sealed = true
-		ds.base = len(ds.Trips)
-	}
-}
 
 // IngestTrips appends trips to the corpus and updates the mining indexes
 // incrementally (copy-on-write for the frequency graphs, so concurrent
@@ -339,15 +302,12 @@ func (ds *Dataset) RestoreTrips(trips []Trajectory, seqs []int64) {
 	ds.appendLocked(trips)
 }
 
-// appendLocked seals the base, appends the trips, and extends the indexes.
-// Caller holds ds.mu and has recorded the trips' sequence numbers.
+// appendLocked appends the trips and extends the indexes. Caller holds ds.mu
+// and has recorded the trips' sequence numbers.
 func (ds *Dataset) appendLocked(trips []Trajectory) {
-	ds.sealBaseLocked()
 	start := len(ds.Trips)
 	ds.Trips = append(ds.Trips, trips...)
-	if ds.idx != nil {
-		ds.idx.addBatch(ds.Graph, start, ds.Trips[start:])
-	}
+	ds.idx.addBatch(ds.Graph, start, ds.Trips[start:])
 }
 
 // NumTrips returns the current corpus size (generated plus ingested).
@@ -357,8 +317,8 @@ func (ds *Dataset) NumTrips() int {
 	return len(ds.Trips)
 }
 
-// IngestedTrips returns a copy of the trips ingested after the base corpus
-// was sealed, in ingestion order.
+// IngestedTrips returns a copy of the trips ingested after construction, in
+// ingestion order.
 func (ds *Dataset) IngestedTrips() []Trajectory {
 	trips, _ := ds.IngestedStream()
 	return trips
@@ -372,7 +332,7 @@ func (ds *Dataset) IngestedTrips() []Trajectory {
 func (ds *Dataset) IngestedStream() ([]Trajectory, []int64) {
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
-	if !ds.sealed || ds.base >= len(ds.Trips) {
+	if ds.base >= len(ds.Trips) {
 		return nil, nil
 	}
 	trips := make([]Trajectory, len(ds.Trips)-ds.base)
@@ -382,45 +342,24 @@ func (ds *Dataset) IngestedStream() ([]Trajectory, []int64) {
 	return trips, seqs
 }
 
-// ForEachTrip visits every trip in corpus order under the read lock — the
-// safe iteration primitive for the miners' linear-scan baselines while
-// ingestion may be running.
-func (ds *Dataset) ForEachTrip(fn func(tr *Trajectory)) {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	for i := range ds.Trips {
-		fn(&ds.Trips[i])
-	}
-}
-
 // TransitionTotals returns the corpus-wide transition counts and per-node
-// outgoing totals — MPR's transfer network — from the index. ok is false
-// when the index is not enabled (callers fall back to scanning). The maps
-// are immutable snapshots: callers must not mutate them, and may keep using
-// them after the call (ingestion publishes fresh maps instead of touching
-// these).
-func (ds *Dataset) TransitionTotals() (counts map[Transition]int, out map[roadnet.NodeID]int, ok bool) {
+// outgoing totals — MPR's transfer network. The maps are immutable
+// snapshots: callers must not mutate them, and may keep using them after the
+// call (ingestion publishes fresh maps instead of touching these).
+func (ds *Dataset) TransitionTotals() (counts map[Transition]int, out map[roadnet.NodeID]int) {
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
-	if ds.idx == nil {
-		return nil, nil, false
-	}
-	return ds.idx.global.counts, ds.idx.global.out, true
+	return ds.idx.global.counts, ds.idx.global.out
 }
 
 // FootmarksNearHour returns the transition-frequency graph of trips whose
 // departure hour is within window hours (circularly) of hour — MFP's
-// time-period footmark graph. ok is false when the index is not enabled.
-// The result is freshly allocated and owned by the caller; its contents are
-// bit-identical to a linear scan applying the same hourDist filter. Fully
-// covered hour slots contribute their precomputed aggregates; only the
-// boundary slots are filtered trip by trip.
-func (ds *Dataset) FootmarksNearHour(hour, window float64) (map[Transition]int, bool) {
+// time-period footmark graph. The result is freshly allocated and owned by
+// the caller. Fully covered hour slots contribute their precomputed
+// aggregates; only the boundary slots are filtered trip by trip.
+func (ds *Dataset) FootmarksNearHour(hour, window float64) map[Transition]int {
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
-	if ds.idx == nil {
-		return nil, false
-	}
 	freq := map[Transition]int{}
 	for s := 0; s < footmarkSlots; s++ {
 		switch slotCoverage(s, hour, window) {
@@ -433,23 +372,25 @@ func (ds *Dataset) FootmarksNearHour(hour, window float64) (map[Transition]int, 
 		case slotPartial:
 			for _, i := range ds.idx.slotTrips[s] {
 				tr := &ds.Trips[i]
-				if HourDist(tr.Depart.HourOfDay(), hour) > window {
+				if hourDist(tr.Depart.HourOfDay(), hour) > window {
 					continue
 				}
-				RouteTransitions(tr.Route, func(t Transition) { freq[t]++ })
+				routeTransitions(tr.Route, func(t Transition) { freq[t]++ })
 			}
 		}
 	}
-	return freq, true
+	return freq
 }
 
-// tripsBetweenIndexed answers TripsBetween from the endpoint-pair grid:
-// only the buckets whose source cell overlaps [from ± radius] and whose
-// destination cell overlaps [to ± radius] are visited, then the exact
-// distance filter runs on the survivors and the trip indices are sorted so
-// the result order matches the linear scan's corpus order exactly. Caller
-// holds ds.mu (read).
-func (ds *Dataset) tripsBetweenIndexed(from, to roadnet.NodeID, radius float64) []Trajectory {
+// TripsBetween returns the trips whose matched route starts within radius of
+// from and ends within radius of to, in corpus order. Radius 0 requires
+// exact endpoints. Only the buckets whose source cell overlaps
+// [from ± radius] and whose destination cell overlaps [to ± radius] are
+// visited; the exact distance filter runs on the survivors, and the trip
+// indices are sorted back into corpus order.
+func (ds *Dataset) TripsBetween(from, to roadnet.NodeID, radius float64) []Trajectory {
+	ds.mu.RLock()
+	defer ds.mu.RUnlock()
 	fp := ds.Graph.Node(from).Pt
 	tp := ds.Graph.Node(to).Pt
 	r := math.Max(radius, 0)
@@ -476,12 +417,19 @@ func (ds *Dataset) tripsBetweenIndexed(from, to roadnet.NodeID, radius float64) 
 		}
 	}
 	if len(matched) == 0 {
-		return nil // the scan's no-match shape
+		return nil
 	}
-	sort.Ints(matched) // corpus order, matching the linear scan
+	sort.Ints(matched)
 	out := make([]Trajectory, 0, len(matched))
 	for _, i := range matched {
 		out = append(out, ds.Trips[i])
 	}
 	return out
+}
+
+func distOK(a, b geo.Point, radius float64) bool {
+	if radius <= 0 {
+		return a == b
+	}
+	return geo.Dist(a, b) <= radius
 }

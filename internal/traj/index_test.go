@@ -1,6 +1,7 @@
 package traj
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -19,13 +20,13 @@ import (
 func TestGroundTruthOrderInvariant(t *testing.T) {
 	g := testGraph()
 	drivers := NewPopulation(g, DefaultPopulationConfig())
-	ds := &Dataset{Graph: g, Drivers: drivers}
+	ds := NewDataset(g, drivers, nil)
 
 	shuffled := append([]*Driver(nil), drivers...)
 	rand.New(rand.NewSource(13)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	dsShuffled := &Dataset{Graph: g, Drivers: shuffled}
+	dsShuffled := NewDataset(g, shuffled, nil)
 
 	for _, od := range [][2]roadnet.NodeID{{0, 77}, {5, 91}, {12, 60}} {
 		want, err := ds.GroundTruth(od[0], od[1], routing.At(0, 8, 30), 40)
@@ -170,7 +171,7 @@ func TestApportionExact(t *testing.T) {
 	}
 }
 
-// ---- mining index: traj-level equivalence and ingestion semantics ----
+// ---- mining index: equivalence with linear scans, ingestion semantics ----
 
 // corpus builds a small generated dataset for index tests.
 func corpus(t *testing.T, seed int64) *Dataset {
@@ -183,90 +184,154 @@ func corpus(t *testing.T, seed int64) *Dataset {
 	})
 }
 
+// grown rebuilds ds with the first half of its trips present at
+// construction and the second half arriving through IngestTrips in several
+// batches, so the queries also run on the incremental (copy-on-write) path.
+func grown(ds *Dataset) *Dataset {
+	cut := len(ds.Trips) / 2
+	out := NewDataset(ds.Graph, ds.Drivers, append([]Trajectory(nil), ds.Trips[:cut]...))
+	for rest := ds.Trips[cut:]; len(rest) > 0; {
+		n := min(len(rest), len(rest)/3+1)
+		out.IngestTrips(rest[:n])
+		rest = rest[n:]
+	}
+	return out
+}
+
+// The linear scans below are the oracles: each index query must return
+// exactly what its scan over ds.Trips returns.
+
+func scanTripsBetween(ds *Dataset, from, to roadnet.NodeID, radius float64) []Trajectory {
+	var out []Trajectory
+	fp := ds.Graph.Node(from).Pt
+	tp := ds.Graph.Node(to).Pt
+	for _, tr := range ds.Trips {
+		if tr.Route.Empty() {
+			continue
+		}
+		s := ds.Graph.Node(tr.Route.Source()).Pt
+		d := ds.Graph.Node(tr.Route.Dest()).Pt
+		if distOK(s, fp, radius) && distOK(d, tp, radius) {
+			out = append(out, tr)
+		}
+	}
+	return out
+}
+
+func scanTransitions(ds *Dataset) (map[Transition]int, map[roadnet.NodeID]int) {
+	counts := map[Transition]int{}
+	out := map[roadnet.NodeID]int{}
+	for _, tr := range ds.Trips {
+		routeTransitions(tr.Route, func(tn Transition) {
+			counts[tn]++
+			out[tn.From]++
+		})
+	}
+	return counts, out
+}
+
+func scanFootmarks(ds *Dataset, hour, window float64) map[Transition]int {
+	freq := map[Transition]int{}
+	for _, tr := range ds.Trips {
+		if hourDist(tr.Depart.HourOfDay(), hour) > window {
+			continue
+		}
+		routeTransitions(tr.Route, func(tn Transition) { freq[tn]++ })
+	}
+	return freq
+}
+
 // TestTripsBetweenIndexedMatchesScan: the endpoint-pair grid must reproduce
 // the linear scan exactly (same trips, same corpus order) across radii,
-// including radius 0 (exact endpoints).
+// including radius 0 (exact endpoints), on a built and a grown corpus.
 func TestTripsBetweenIndexedMatchesScan(t *testing.T) {
-	plain := corpus(t, 21)
-	indexed := corpus(t, 21)
-	indexed.EnableMiningIndex()
-
-	rng := rand.New(rand.NewSource(5))
-	nn := plain.Graph.NumNodes()
-	for q := 0; q < 120; q++ {
-		var from, to roadnet.NodeID
-		if q%2 == 0 && len(plain.Trips) > 0 {
-			r := plain.Trips[rng.Intn(len(plain.Trips))].Route
-			if r.Empty() {
-				continue
+	built := corpus(t, 21)
+	for _, ds := range []*Dataset{built, grown(built)} {
+		rng := rand.New(rand.NewSource(5))
+		nn := ds.Graph.NumNodes()
+		for q := 0; q < 120; q++ {
+			var from, to roadnet.NodeID
+			if q%2 == 0 && len(ds.Trips) > 0 {
+				r := ds.Trips[rng.Intn(len(ds.Trips))].Route
+				if r.Empty() {
+					continue
+				}
+				from, to = r.Source(), r.Dest()
+			} else {
+				from = roadnet.NodeID(rng.Intn(nn))
+				to = roadnet.NodeID(rng.Intn(nn))
 			}
-			from, to = r.Source(), r.Dest()
-		} else {
-			from = roadnet.NodeID(rng.Intn(nn))
-			to = roadnet.NodeID(rng.Intn(nn))
+			radius := []float64{0, 150, 300, 800}[q%4]
+			want := scanTripsBetween(ds, from, to, radius)
+			got := ds.TripsBetween(from, to, radius)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("query %d (%d→%d r=%.0f): indexed %d trips, scan %d", q, from, to, radius, len(got), len(want))
+			}
 		}
-		radius := []float64{0, 150, 300, 800}[q%4]
-		want := plain.TripsBetween(from, to, radius)
-		got := indexed.TripsBetween(from, to, radius)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d (%d→%d r=%.0f): indexed %d trips, scan %d", q, from, to, radius, len(got), len(want))
+	}
+}
+
+// TestTransitionTotalsMatchesScan: the corpus-wide transfer network must
+// equal a per-trip count, including after ingestion grew the corpus.
+func TestTransitionTotalsMatchesScan(t *testing.T) {
+	built := corpus(t, 26)
+	for _, ds := range []*Dataset{built, grown(built)} {
+		wantCounts, wantOut := scanTransitions(ds)
+		gotCounts, gotOut := ds.TransitionTotals()
+		if !reflect.DeepEqual(gotCounts, wantCounts) || !reflect.DeepEqual(gotOut, wantOut) {
+			t.Fatalf("transition totals: %d transitions / %d nodes, scan %d / %d",
+				len(gotCounts), len(gotOut), len(wantCounts), len(wantOut))
 		}
 	}
 }
 
 // TestFootmarksNearHourMatchesScan: the per-slot aggregate + boundary-filter
 // assembly must equal a direct per-trip scan for arbitrary fractional hours
-// and window widths (including degenerate ones).
+// and window widths (including degenerate ones), and for departures and
+// query hours sitting exactly on slot and window edges.
 func TestFootmarksNearHourMatchesScan(t *testing.T) {
-	ds := corpus(t, 31)
-	ds.EnableMiningIndex()
-
-	scan := func(hour, window float64) map[Transition]int {
-		freq := map[Transition]int{}
-		for _, tr := range ds.Trips {
-			if HourDist(tr.Depart.HourOfDay(), hour) > window {
-				continue
-			}
-			RouteTransitions(tr.Route, func(tn Transition) { freq[tn]++ })
-		}
-		return freq
+	built := corpus(t, 31)
+	edges := []float64{0, 2, 4, 4.001, 5.999, 6, 6.001, 7.5, 7.999, 8, 8.001, 9.999, 10, 10.001, 12, 22, 23.999}
+	packed := append([]Trajectory(nil), built.Trips...)
+	for i, h := range edges {
+		tr := built.Trips[i%len(built.Trips)]
+		tr.Depart = routing.At(i%5, 0, 0).Add(h * 60)
+		packed = append(packed, tr)
 	}
+	windows := []float64{0, 0.25, 1, 2, 2.5, 6, 11.9, 12, 13}
+	type query struct{ hour, window float64 }
+	var queries []query
 	rng := rand.New(rand.NewSource(6))
 	for q := 0; q < 100; q++ {
-		hour := rng.Float64() * 24
-		window := []float64{0, 0.25, 1, 2, 2.5, 6, 11.9, 12, 13}[q%9]
-		got, ok := ds.FootmarksNearHour(hour, window)
-		if !ok {
-			t.Fatal("index reported disabled")
+		queries = append(queries, query{rng.Float64() * 24, windows[q%len(windows)]})
+	}
+	for _, h := range edges {
+		for _, w := range windows {
+			queries = append(queries, query{h, w})
 		}
-		want := scan(hour, window)
-		if len(want) == 0 {
-			want = map[Transition]int{}
-		}
-		if len(got) == 0 {
-			got = map[Transition]int{}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("hour=%v window=%v: %d transitions vs scan %d", hour, window, len(got), len(want))
+	}
+	for _, ds := range []*Dataset{built, grown(built), NewDataset(built.Graph, nil, packed)} {
+		for _, q := range queries {
+			got := ds.FootmarksNearHour(q.hour, q.window)
+			want := scanFootmarks(ds, q.hour, q.window)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("hour=%v window=%v: %d transitions vs scan %d", q.hour, q.window, len(got), len(want))
+			}
 		}
 	}
 }
 
-// TestIngestUpdatesIndexes: trips added after EnableMiningIndex must appear
-// in every index-backed query exactly as if they had been present at build
+// TestIngestUpdatesIndexes: trips added after construction must appear in
+// every index-backed query exactly as if they had been present at build
 // time.
 func TestIngestUpdatesIndexes(t *testing.T) {
 	full := corpus(t, 41)
-	half := corpus(t, 41)
-	cut := len(half.Trips) / 2
-	rest := append([]Trajectory(nil), half.Trips[cut:]...)
-	half.Trips = half.Trips[:cut]
-	half.sealed, half.base = false, 0 // re-seal at the cut for this test
-	half.EnableMiningIndex()
+	cut := len(full.Trips) / 2
+	rest := full.Trips[cut:]
+	half := NewDataset(full.Graph, full.Drivers, append([]Trajectory(nil), full.Trips[:cut]...))
 	if seq := half.IngestTrips(rest); seq != 0 {
 		t.Fatalf("first ingested seq = %d, want 0", seq)
 	}
-	full.EnableMiningIndex()
 
 	if half.NumTrips() != full.NumTrips() {
 		t.Fatalf("trip counts differ: %d vs %d", half.NumTrips(), full.NumTrips())
@@ -278,14 +343,14 @@ func TestIngestUpdatesIndexes(t *testing.T) {
 		t.Fatalf("build-time corpus reported %d ingested trips", got)
 	}
 
-	gc, go_, _ := full.TransitionTotals()
-	hc, ho, _ := half.TransitionTotals()
+	gc, go_ := full.TransitionTotals()
+	hc, ho := half.TransitionTotals()
 	if !reflect.DeepEqual(gc, hc) || !reflect.DeepEqual(go_, ho) {
 		t.Fatal("transition totals diverge between ingest and build-time indexing")
 	}
 	for hour := 0.0; hour < 24; hour += 1.7 {
-		a, _ := full.FootmarksNearHour(hour, 2)
-		b, _ := half.FootmarksNearHour(hour, 2)
+		a := full.FootmarksNearHour(hour, 2)
+		b := half.FootmarksNearHour(hour, 2)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("footmarks at hour %v diverge", hour)
 		}
@@ -306,7 +371,6 @@ func TestIngestUpdatesIndexes(t *testing.T) {
 // the base corpus, and advance contiguously across batches.
 func TestIngestSeqContiguous(t *testing.T) {
 	ds := corpus(t, 51)
-	ds.EnableMiningIndex()
 	tr := ds.Trips[0]
 	if seq := ds.IngestTrips([]Trajectory{tr, tr}); seq != 0 {
 		t.Fatalf("first batch seq = %d, want 0", seq)
@@ -325,7 +389,6 @@ func TestIngestSeqContiguous(t *testing.T) {
 // be silently dropped by the replay dedupe on the next boot.
 func TestRestoreTripsSeqGap(t *testing.T) {
 	ds := corpus(t, 61)
-	ds.EnableMiningIndex()
 	tr := ds.Trips[0]
 
 	// Replay a stream where seq 0 was lost: only seqs 1 and 4 survive.
@@ -340,6 +403,20 @@ func TestRestoreTripsSeqGap(t *testing.T) {
 	for i, want := range []int64{1, 4, 5} {
 		if seqs[i] != want {
 			t.Fatalf("seqs = %v, want [1 4 5]", seqs)
+		}
+	}
+}
+
+func TestHourDistance(t *testing.T) {
+	cases := []struct{ a, b, want float64 }{
+		{8, 10, 2},
+		{23, 1, 2},
+		{0, 12, 12},
+		{6, 6, 0},
+	}
+	for _, c := range cases {
+		if got := hourDist(c.a, c.b); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("hourDist(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }

@@ -287,7 +287,7 @@ func TestTripsBetween(t *testing.T) {
 func TestGroundTruthStable(t *testing.T) {
 	g := testGraph()
 	drivers := NewPopulation(g, DefaultPopulationConfig())
-	ds := &Dataset{Graph: g, Drivers: drivers}
+	ds := NewDataset(g, drivers, nil)
 	r1, err := ds.GroundTruth(0, 77, routing.At(0, 8, 0), 50)
 	if err != nil {
 		t.Fatal(err)

@@ -3,14 +3,16 @@ package truth
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
+	"crowdplanner/internal/geo"
 	"crowdplanner/internal/roadnet"
 	"crowdplanner/internal/routing"
 )
 
-// seedCity fills a database with n truths over a generated city, optionally
-// index-bound, always deterministically.
+// seedCity fills a database with n truths over a generated city,
+// deterministically.
 func seedCity(tb testing.TB, db *DB, g *roadnet.Graph, n int) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -30,16 +32,40 @@ func seedCity(tb testing.TB, db *DB, g *roadnet.Graph, n int) {
 	}
 }
 
+// scanNear is the linear-scan oracle for Near: every stored truth is
+// filtered by slot and endpoint distance, and the matches are stable-sorted
+// by combined endpoint distance.
+func scanNear(db *DB, g *roadnet.Graph, from, to roadnet.NodeID, t routing.SimTime, radius float64, slotTol int) []Entry {
+	slot := t.Slot(db.Slots())
+	fp, tp := g.Node(from).Pt, g.Node(to).Pt
+	type scored struct {
+		e Entry
+		d float64
+	}
+	var out []scored
+	for _, e := range db.Entries() {
+		df := geo.Dist(g.Node(e.From).Pt, fp)
+		dt := geo.Dist(g.Node(e.To).Pt, tp)
+		if slotDist(e.Slot, slot, db.Slots()) > slotTol || df > radius || dt > radius {
+			continue
+		}
+		out = append(out, scored{e, df + dt})
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].d < out[j].d })
+	res := make([]Entry, len(out))
+	for i, s := range out {
+		res[i] = s.e
+	}
+	return res
+}
+
 // TestIndexedNearMatchesLinear is the correctness anchor for the spatial
-// index: for many random queries the indexed Near must return exactly what
-// the linear scan returns, in the same order.
+// index: for many random queries Near must return exactly what the linear
+// scan returns, in the same order.
 func TestIndexedNearMatchesLinear(t *testing.T) {
 	g := roadnet.Generate(roadnet.DefaultGenConfig())
-	linear := NewDB(24)
-	indexed := NewDB(24)
-	indexed.EnableSpatialIndex(g, 600)
-	seedCity(t, linear, g, 3000)
-	seedCity(t, indexed, g, 3000)
+	db := NewDB(g, 24, 600)
+	seedCity(t, db, g, 3000)
 
 	rng := rand.New(rand.NewSource(9))
 	nn := g.NumNodes()
@@ -48,8 +74,8 @@ func TestIndexedNearMatchesLinear(t *testing.T) {
 		to := roadnet.NodeID(rng.Intn(nn))
 		tm := routing.At(rng.Intn(7), rng.Intn(24), 0)
 		radius := []float64{150, 600, 2000}[q%3]
-		want := linear.Near(g, from, to, tm, radius, 1)
-		got := indexed.Near(g, from, to, tm, radius, 1)
+		want := scanNear(db, g, from, to, tm, radius, 1)
+		got := db.Near(g, from, to, tm, radius, 1)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d (from=%d to=%d r=%.0f): indexed %d entries, linear %d",
 				q, from, to, radius, len(got), len(want))
@@ -57,33 +83,12 @@ func TestIndexedNearMatchesLinear(t *testing.T) {
 	}
 }
 
-// TestIndexBindsExistingEntries: EnableSpatialIndex after a bulk load (the
-// boot-time restore order) must index what is already stored.
-func TestIndexBindsExistingEntries(t *testing.T) {
-	g := roadnet.Generate(roadnet.DefaultGenConfig())
-	linear := NewDB(24)
-	late := NewDB(24)
-	seedCity(t, linear, g, 500)
-	seedCity(t, late, g, 500)
-	late.EnableSpatialIndex(g, 600)
-
-	tm := routing.At(0, 9, 0)
-	want := linear.Near(g, 0, roadnet.NodeID(g.NumNodes()-1), tm, 1500, 2)
-	got := late.Near(g, 0, roadnet.NodeID(g.NumNodes()-1), tm, 1500, 2)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("late-bound index: %d entries, linear %d", len(got), len(want))
-	}
-}
-
 // TestIndexedConfidenceMatchesLinear: Confidence rides on Near and must be
-// bit-identical with and without the index.
+// bit-identical to scoring against the linear scan.
 func TestIndexedConfidenceMatchesLinear(t *testing.T) {
 	g := roadnet.Generate(roadnet.DefaultGenConfig())
-	linear := NewDB(24)
-	indexed := NewDB(24)
-	indexed.EnableSpatialIndex(g, 600)
-	seedCity(t, linear, g, 2000)
-	seedCity(t, indexed, g, 2000)
+	db := NewDB(g, 24, 600)
+	seedCity(t, db, g, 2000)
 
 	rng := rand.New(rand.NewSource(11))
 	nn := roadnet.NodeID(g.NumNodes())
@@ -95,8 +100,8 @@ func TestIndexedConfidenceMatchesLinear(t *testing.T) {
 		}
 		cand := roadnet.NewRoute(from, to)
 		tm := routing.At(rng.Intn(7), rng.Intn(24), 0)
-		want := linear.Confidence(g, cand, tm, 600, 1)
-		got := indexed.Confidence(g, cand, tm, 600, 1)
+		want := scoreAgainst(g, cand, scanNear(db, g, from, to, tm, 600, 1), 600)
+		got := db.Confidence(g, cand, tm, 600, 1)
 		if got != want {
 			t.Fatalf("query %d: confidence %v != %v", q, got, want)
 		}
@@ -104,9 +109,7 @@ func TestIndexedConfidenceMatchesLinear(t *testing.T) {
 }
 
 func TestEntriesRange(t *testing.T) {
-	db := NewDB(24)
-	g := corridor()
-	_ = g
+	db := NewDB(corridor(), 24, 100)
 	for i := 0; i < 10; i++ {
 		db.Store(Entry{From: 0, To: 3, Slot: i, Route: top(), Confidence: 0.9})
 	}
@@ -128,31 +131,22 @@ func TestEntriesRange(t *testing.T) {
 	}
 }
 
-// ---- acceptance benchmarks: grid index vs linear scan at 100k truths ----
-
-func seededDB(b *testing.B, g *roadnet.Graph, indexed bool) *DB {
-	b.Helper()
-	db := NewDB(24)
-	if indexed {
-		db.EnableSpatialIndex(g, 600)
-	}
-	seedCity(b, db, g, 100_000)
-	return db
-}
+// ---- benchmarks: the grid index at 100k truths ----
 
 var benchGraph *roadnet.Graph
 
-func benchCity(b *testing.B) *roadnet.Graph {
+func seededDB(b *testing.B) (*roadnet.Graph, *DB) {
 	b.Helper()
 	if benchGraph == nil {
 		benchGraph = roadnet.Generate(roadnet.DefaultGenConfig())
 	}
-	return benchGraph
+	db := NewDB(benchGraph, 24, 600)
+	seedCity(b, db, benchGraph, 100_000)
+	return benchGraph, db
 }
 
-func benchNear(b *testing.B, indexed bool) {
-	g := benchCity(b)
-	db := seededDB(b, g, indexed)
+func BenchmarkTruthNear100k(b *testing.B) {
+	g, db := seededDB(b)
 	nn := roadnet.NodeID(g.NumNodes())
 	tm := routing.At(0, 8, 30)
 	b.ResetTimer()
@@ -163,12 +157,8 @@ func benchNear(b *testing.B, indexed bool) {
 	}
 }
 
-func BenchmarkTruthNear100k(b *testing.B)       { benchNear(b, true) }
-func BenchmarkTruthNearLinear100k(b *testing.B) { benchNear(b, false) }
-
-func benchConfidence(b *testing.B, indexed bool) {
-	g := benchCity(b)
-	db := seededDB(b, g, indexed)
+func BenchmarkConfidence100k(b *testing.B) {
+	g, db := seededDB(b)
 	nn := roadnet.NodeID(g.NumNodes())
 	tm := routing.At(0, 8, 30)
 	b.ResetTimer()
@@ -178,6 +168,3 @@ func benchConfidence(b *testing.B, indexed bool) {
 		_ = db.Confidence(g, roadnet.NewRoute(from, to), tm, 600, 1)
 	}
 }
-
-func BenchmarkConfidence100k(b *testing.B)       { benchConfidence(b, true) }
-func BenchmarkConfidenceLinear100k(b *testing.B) { benchConfidence(b, false) }

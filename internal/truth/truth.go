@@ -31,17 +31,16 @@ type Entry struct {
 // DB is the truth store. It is safe for concurrent use.
 type DB struct {
 	mu      sync.RWMutex
+	g       *roadnet.Graph
 	slots   int
 	entries []Entry
-	// byOD accelerates exact-node lookups.
-	byOD map[odSlot][]int
+	// byOD indexes each (from, to, slot) key's entry for exact-node lookups;
+	// Store replaces in place, so a key never has more than one entry.
+	byOD map[odSlot]int
 	// Spatial index for Near/Confidence: entry indices bucketed by the grid
-	// cell of the truth's *from* endpoint (see EnableSpatialIndex). Both
-	// endpoints must fall within the query radius, so indexing one endpoint
-	// already bounds the scan to nearby buckets; the to-endpoint filter runs
-	// on the survivors. Nil until bound to a graph — queries then fall back
-	// to the full linear scan.
-	locate  func(roadnet.NodeID) geo.Point
+	// cell of the truth's *from* endpoint. Both endpoints must fall within
+	// the query radius, so indexing one endpoint already bounds the scan to
+	// nearby buckets; the to-endpoint filter runs on the survivors.
 	cell    float64
 	buckets map[cellKey][]int
 }
@@ -52,41 +51,26 @@ type odSlot struct {
 }
 
 // cellKey addresses one grid cell by integer coordinates — so the index
-// needs no bounding box up front (truth endpoints follow the road network,
-// which the DB does not know at construction time) — plus the time slot:
-// Near always filters by slot tolerance, so folding the slot into the bucket
-// key keeps slot-mismatched truths out of the candidate set entirely.
+// needs no bounding box up front — plus the time slot: Near always filters
+// by slot tolerance, so folding the slot into the bucket key keeps
+// slot-mismatched truths out of the candidate set entirely.
 type cellKey struct{ cx, cy, slot int32 }
 
-// NewDB creates a truth database quantizing departure times into the given
-// number of daily slots (the paper's "time tag"). 24 gives hourly tags.
-func NewDB(slots int) *DB {
+// NewDB creates a truth database over g, quantizing departure times into
+// the given number of daily slots (the paper's "time tag"; 24 gives hourly
+// tags, and non-positive means 24). Truths are bucketed by the grid cell of
+// their from-endpoint, so Near (and with it Confidence) touches only the
+// buckets overlapping the query radius. cell is the bucket edge length in
+// meters; pass the radius the system queries with (Config.TruthRadius) so a
+// query touches ~9 buckets. Non-positive cell defaults to 500m.
+func NewDB(g *roadnet.Graph, slots int, cell float64) *DB {
 	if slots <= 0 {
 		slots = 24
 	}
-	return &DB{slots: slots, byOD: make(map[odSlot][]int)}
-}
-
-// EnableSpatialIndex binds the DB to the graph's node positions and buckets
-// truths by the grid cell of their from-endpoint, turning Near (and with it
-// Confidence) from a full-store scan into a lookup that touches only the
-// buckets overlapping the query radius. cell is the bucket edge length in
-// meters; pass the radius the system queries with (Config.TruthRadius) so a
-// query touches ~9 buckets. Non-positive cell defaults to 500m. Existing
-// entries are re-indexed, so the call may follow a bulk restore.
-func (db *DB) EnableSpatialIndex(g *roadnet.Graph, cell float64) {
 	if cell <= 0 {
 		cell = 500
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.locate = func(id roadnet.NodeID) geo.Point { return g.Node(id).Pt }
-	db.cell = cell
-	db.buckets = make(map[cellKey][]int)
-	for i, e := range db.entries {
-		k := db.cellOf(db.locate(e.From), e.Slot)
-		db.buckets[k] = append(db.buckets[k], i)
-	}
+	return &DB{g: g, slots: slots, cell: cell, byOD: make(map[odSlot]int), buckets: make(map[cellKey][]int)}
 }
 
 // cellOf maps a point and slot to the bucket key (floor division,
@@ -119,18 +103,17 @@ func (db *DB) Store(e Entry) {
 	defer db.mu.Unlock()
 	e.Slot = ((e.Slot % db.slots) + db.slots) % db.slots
 	k := odSlot{e.From, e.To, e.Slot}
-	if idxs := db.byOD[k]; len(idxs) > 0 {
+	if i, ok := db.byOD[k]; ok {
 		// Replacement keeps the entry index and the from-endpoint, so the
 		// spatial bucket needs no update.
-		db.entries[idxs[len(idxs)-1]] = e
+		db.entries[i] = e
 		return
 	}
+	i := len(db.entries)
 	db.entries = append(db.entries, e)
-	db.byOD[k] = append(db.byOD[k], len(db.entries)-1)
-	if db.buckets != nil {
-		ck := db.cellOf(db.locate(e.From), e.Slot)
-		db.buckets[ck] = append(db.buckets[ck], len(db.entries)-1)
-	}
+	db.byOD[k] = i
+	ck := db.cellOf(db.g.Node(e.From).Pt, e.Slot)
+	db.buckets[ck] = append(db.buckets[ck], i)
 }
 
 // Lookup returns the most recently stored truth for the exact OD pair and
@@ -139,19 +122,18 @@ func (db *DB) Store(e Entry) {
 func (db *DB) Lookup(from, to roadnet.NodeID, t routing.SimTime) (Entry, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	k := odSlot{from, to, t.Slot(db.slots)}
-	idxs := db.byOD[k]
-	if len(idxs) == 0 {
+	i, ok := db.byOD[odSlot{from, to, t.Slot(db.slots)}]
+	if !ok {
 		return Entry{}, false
 	}
-	return db.entries[idxs[len(idxs)-1]], true
+	return db.entries[i], true
 }
 
 // Near returns truths whose endpoints are within radius meters of the
 // requested endpoints and whose slot is within slotTol slots (circularly) of
-// t's slot, ordered by decreasing endpoint proximity. With the spatial index
-// bound (EnableSpatialIndex) only the buckets overlapping the query radius
-// are scanned; otherwise the whole store is.
+// t's slot, ordered by decreasing endpoint proximity (ties by storage
+// order). Only the buckets overlapping the query radius are scanned. g must
+// be the graph the DB was created over.
 func (db *DB) Near(g *roadnet.Graph, from, to roadnet.NodeID, t routing.SimTime, radius float64, slotTol int) []Entry {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -163,37 +145,27 @@ func (db *DB) Near(g *roadnet.Graph, from, to roadnet.NodeID, t routing.SimTime,
 		d   float64
 	}
 	var out []scored
-	score := func(i int) {
-		e := &db.entries[i]
-		if slotDist(e.Slot, slot, db.slots) > slotTol {
-			return
-		}
-		df := geo.Dist(g.Node(e.From).Pt, fp)
-		dt := geo.Dist(g.Node(e.To).Pt, tp)
-		if df > radius || dt > radius {
-			return
-		}
-		out = append(out, scored{idx: i, d: df + dt})
-	}
-	if db.buckets != nil && radius >= 0 {
-		// Only the buckets covering [fp±radius] in the slot window can hold
-		// matches. Visit order doesn't matter: the final sort breaks distance
-		// ties by entry index, which is exactly the order the stable sort
-		// over a full scan yields.
-		lo := db.cellOf(geo.Point{X: fp.X - radius, Y: fp.Y - radius}, 0)
-		hi := db.cellOf(geo.Point{X: fp.X + radius, Y: fp.Y + radius}, 0)
-		for _, sl := range slotWindow(slot, slotTol, db.slots) {
-			for cy := lo.cy; cy <= hi.cy; cy++ {
-				for cx := lo.cx; cx <= hi.cx; cx++ {
-					for _, i := range db.buckets[cellKey{cx, cy, sl}] {
-						score(i)
+	// Only the buckets covering [fp±radius] in the slot window can hold
+	// matches. Visit order doesn't matter: the final sort breaks distance
+	// ties by entry index.
+	lo := db.cellOf(geo.Point{X: fp.X - radius, Y: fp.Y - radius}, 0)
+	hi := db.cellOf(geo.Point{X: fp.X + radius, Y: fp.Y + radius}, 0)
+	for _, sl := range slotWindow(slot, slotTol, db.slots) {
+		for cy := lo.cy; cy <= hi.cy; cy++ {
+			for cx := lo.cx; cx <= hi.cx; cx++ {
+				for _, i := range db.buckets[cellKey{cx, cy, sl}] {
+					e := &db.entries[i]
+					if slotDist(e.Slot, slot, db.slots) > slotTol {
+						continue
 					}
+					df := geo.Dist(g.Node(e.From).Pt, fp)
+					dt := geo.Dist(g.Node(e.To).Pt, tp)
+					if df > radius || dt > radius {
+						continue
+					}
+					out = append(out, scored{idx: i, d: df + dt})
 				}
 			}
-		}
-	} else {
-		for i := range db.entries {
-			score(i)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
