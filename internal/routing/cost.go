@@ -81,8 +81,38 @@ type travelTimeCost struct{}
 
 func (travelTimeCost) Cost(e *roadnet.Edge, t SimTime) float64 {
 	major := e.Class >= roadnet.Arterial
-	factor := CongestionFactor(t.HourOfDay(), major)
+	return congestedMinutes(e, CongestionFactor(t.HourOfDay(), major))
+}
+
+// congestedMinutes is the travel-time model: free-flow minutes scaled by the
+// congestion factor, plus the light delay.
+func congestedMinutes(e *roadnet.Edge, factor float64) float64 {
 	return e.BaseTravelMinutes()*factor + float64(e.Lights)*lightPenaltyMinutes
+}
+
+// TravelTimeCache evaluates TravelTimeCost with the hour of day and both
+// congestion factors memoised for the last departure time seen. A search
+// costs every out-edge of a settled node at the same time t+dist[u], so each
+// settled node pays for them once instead of once per relaxed edge. Cost is
+// bit-identical to TravelTimeCost.Cost. The zero value is ready to use; a
+// TravelTimeCache is not safe for concurrent use.
+type TravelTimeCache struct {
+	t            SimTime
+	valid        bool
+	major, minor float64
+}
+
+// Cost returns TravelTimeCost.Cost(e, t).
+func (c *TravelTimeCache) Cost(e *roadnet.Edge, t SimTime) float64 {
+	if !c.valid || t != c.t {
+		h := t.HourOfDay()
+		c.t, c.valid = t, true
+		c.major, c.minor = CongestionFactor(h, true), CongestionFactor(h, false)
+	}
+	if e.Class >= roadnet.Arterial {
+		return congestedMinutes(e, c.major)
+	}
+	return congestedMinutes(e, c.minor)
 }
 
 func (travelTimeCost) MinCostPerMeter(g *roadnet.Graph) float64 {

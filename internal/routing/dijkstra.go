@@ -15,11 +15,15 @@ var ErrNoRoute = errors.New("routing: no route between the given nodes")
 // so the hot search kernel stays allocation-free even on bad queries.
 var errNodeRange = errors.New("routing: node out of range")
 
+// errShortSlice rejects a caller-supplied per-node or per-edge slice with
+// fewer entries than the graph has nodes or edges.
+var errShortSlice = errors.New("routing: slice shorter than the graph")
+
 // ShortestPath returns the minimum-cost route from src to dst under cost,
 // departing at time t, along with the total cost.
 func ShortestPath(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t SimTime) (roadnet.Route, float64, error) {
 	ws := acquireSpace(g)
-	r, c, err := search(g, src, dst, cost, t, 0, ws, false, nil)
+	r, c, err := search(g, src, dst, cost, t, 0, ws, false, nil, nil)
 	releaseSpace(ws)
 	return r, c, err
 }
@@ -33,7 +37,25 @@ func ShortestPath(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t Si
 // AStar method.
 func AStar(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t SimTime) (roadnet.Route, float64, error) {
 	ws := acquireSpace(g)
-	r, c, err := search(g, src, dst, cost, t, cost.MinCostPerMeter(g), ws, false, nil)
+	r, c, err := search(g, src, dst, cost, t, cost.MinCostPerMeter(g), ws, false, nil, nil)
+	releaseSpace(ws)
+	return r, c, err
+}
+
+// AStarBounded is AStar with a caller-supplied per-node lower bound on the
+// remaining cost: the heuristic at v is max(lb[v], the straight-line bound).
+// lb must have an entry per node and be admissible and consistent for dst:
+// lb[v] at most the cost of the cheapest route from v to dst, and lb[u] <=
+// Cost(e, t) + lb[v] for every edge e = (u, v) and time t. Exact distances
+// to dst under static edge weights the cost dominates (DistancesTo) are
+// both; +Inf marks a node with no finite-cost route to dst. The route and
+// cost are then those of ShortestPath.
+func AStarBounded(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t SimTime, lb []float64) (roadnet.Route, float64, error) {
+	if len(lb) < g.NumNodes() {
+		return roadnet.Route{}, 0, errShortSlice
+	}
+	ws := acquireSpace(g)
+	r, c, err := search(g, src, dst, cost, t, cost.MinCostPerMeter(g), ws, false, nil, lb)
 	releaseSpace(ws)
 	return r, c, err
 }
@@ -42,8 +64,8 @@ func AStar(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t SimTime) 
 // the one exact-length result slice handed to the caller.
 //
 //cplint:hotpath
-func search(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t SimTime, mcpm float64, ws *searchSpace, useBans bool, prep *Preprocessed) (roadnet.Route, float64, error) {
-	path, c, err := searchShared(g, src, dst, cost, t, mcpm, ws, useBans, prep)
+func search(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t SimTime, mcpm float64, ws *searchSpace, useBans bool, prep *Preprocessed, lb []float64) (roadnet.Route, float64, error) {
+	path, c, err := searchShared(g, src, dst, cost, t, mcpm, ws, useBans, prep, lb)
 	if err != nil {
 		return roadnet.Route{}, 0, err
 	}
@@ -55,8 +77,9 @@ func search(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t SimTime,
 
 // searchShared is the shared Dijkstra/A*/ALT core over a caller-supplied
 // workspace. mcpm > 0 enables the straight-line goal-directed heuristic;
-// prep != nil additionally consults the landmark tables (the heuristic
-// becomes max(landmark bound, straight-line bound), still admissible and
+// lb != nil maxes it with the caller's per-node bound (AStarBounded); prep
+// != nil additionally consults the landmark tables (the heuristic becomes
+// max(landmark bound, straight-line bound), still admissible and
 // consistent); useBans honors the workspace's current node/edge ban set
 // (Yen spur searches).
 //
@@ -76,7 +99,7 @@ func search(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t SimTime,
 // tree — as Dijkstra.
 //
 //cplint:hotpath
-func searchShared(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t SimTime, mcpm float64, ws *searchSpace, useBans bool, prep *Preprocessed) ([]roadnet.NodeID, float64, error) {
+func searchShared(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t SimTime, mcpm float64, ws *searchSpace, useBans bool, prep *Preprocessed, lb []float64) ([]roadnet.NodeID, float64, error) {
 	n := g.NumNodes()
 	if int(src) >= n || int(dst) >= n || src < 0 || dst < 0 {
 		return nil, 0, errNodeRange
@@ -85,7 +108,7 @@ func searchShared(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t Si
 		return nil, 0, ErrNoRoute
 	}
 	counters.searches.Add(1)
-	if mcpm > 0 {
+	if mcpm > 0 || lb != nil {
 		counters.astar.Add(1)
 	}
 	if src == dst {
@@ -95,7 +118,7 @@ func searchShared(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t Si
 	}
 
 	var dstPt geo.Point
-	heur := mcpm > 0 || prep != nil
+	heur := mcpm > 0 || prep != nil || lb != nil
 	if heur {
 		dstPt = g.Node(dst).Pt
 	}
@@ -119,6 +142,9 @@ func searchShared(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t Si
 	start := heapEntry{node: src}
 	if heur {
 		h := geo.Dist(g.Node(src).Pt, dstPt) * mcpm
+		if lb != nil && lb[src] > h {
+			h = lb[src]
+		}
 		if prep != nil {
 			h = prep.altBound(ws, src, h)
 		}
@@ -177,6 +203,9 @@ func searchShared(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t Si
 					h = ws.hval[v]
 				} else {
 					h = geo.Dist(g.Node(v).Pt, dstPt) * mcpm
+					if lb != nil && lb[v] > h {
+						h = lb[v]
+					}
 					if prep != nil {
 						h = prep.altBound(ws, v, h)
 					}

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -69,14 +70,18 @@ func TestShortestPathMatchesReference(t *testing.T) {
 
 // TestAStarMatchesDijkstraSequences: >=200 random ODs, goal-directed vs
 // plain search, node sequences (the acceptance bar for wiring A* into the
-// serving path). Also cross-checks against the reference engine's A*.
+// serving path). Also cross-checks against the reference engine's A*, and
+// AStarBounded with the exact distances to dst under the cost's per-edge
+// lower bound (DistancesTo) as its bound.
 func TestAStarMatchesDijkstraSequences(t *testing.T) {
 	g := equivGraph(14, 14)
 	rng := rand.New(rand.NewSource(43))
+	lb := make([]float64, g.NumNodes())
 	for _, tc := range equivCases() {
 		if tc.cost.MinCostPerMeter(g) <= 0 {
 			t.Fatalf("%s: expected a positive heuristic bound", tc.name)
 		}
+		w := edgeBounds(g, tc.cost)
 		checked := 0
 		for trial := 0; checked < 220; trial++ {
 			src := roadnet.NodeID(rng.Intn(g.NumNodes()))
@@ -99,6 +104,13 @@ func TestAStarMatchesDijkstraSequences(t *testing.T) {
 			refR, _, refErr := refAStar(g, src, dst, tc.cost, tc.t, tc.cost.MinCostPerMeter(g))
 			if refErr != nil || !refR.Equal(astR) {
 				t.Fatalf("%s %d->%d: ref astar %v (%v) vs new %v", tc.name, src, dst, refR, refErr, astR)
+			}
+			if err := DistancesTo(g, w, dst, lb); err != nil {
+				t.Fatal(err)
+			}
+			bR, bC, bErr := AStarBounded(g, src, dst, tc.cost, tc.t, lb)
+			if bErr != nil || bC != dijC || !bR.Equal(dijR) {
+				t.Fatalf("%s %d->%d: bounded %v (%v, %v) vs dij %v (%v)", tc.name, src, dst, bR, bC, bErr, dijR, dijC)
 			}
 		}
 	}
@@ -216,6 +228,79 @@ func TestSearchInfiniteEdgeCosts(t *testing.T) {
 	}
 	if !newR.Equal(roadnet.NewRoute(0, 2, 3, 4)) {
 		t.Fatalf("blocked-branch route = %v", newR)
+	}
+	// A +Inf bound on the blocked branch keeps node 1 behind every finite
+	// priority; the route and its cost stay Dijkstra's.
+	lb := []float64{0, math.Inf(1), 0, 0, 0}
+	bR, bC, bErr := AStarBounded(g, 0, 4, blockTop, 0, lb)
+	_, wantC, _ := ShortestPath(g, 0, 4, blockTop, 0)
+	if bErr != nil || !bR.Equal(newR) || bC != wantC {
+		t.Fatalf("bounded blocked-branch: %v (%v, %v), want %v (%v)", bR, bC, bErr, newR, wantC)
+	}
+}
+
+// TestBoundedSearchArgumentErrors: short per-node or per-edge slices and
+// out-of-range nodes are errors, never panics.
+func TestBoundedSearchArgumentErrors(t *testing.T) {
+	g := diamond()
+	n, m := g.NumNodes(), g.NumEdges()
+	w := edgeBounds(g, DistanceCost)
+	if err := DistancesTo(g, w, roadnet.NodeID(n), make([]float64, n)); !errors.Is(err, errNodeRange) {
+		t.Errorf("dst out of range: %v", err)
+	}
+	if err := DistancesTo(g, w, -1, make([]float64, n)); !errors.Is(err, errNodeRange) {
+		t.Errorf("negative dst: %v", err)
+	}
+	if err := DistancesTo(g, w, 0, make([]float64, n-1)); !errors.Is(err, errShortSlice) {
+		t.Errorf("short dist: %v", err)
+	}
+	if err := DistancesTo(g, w[:m-1], 0, make([]float64, n)); !errors.Is(err, errShortSlice) {
+		t.Errorf("short weights: %v", err)
+	}
+	if _, _, err := AStarBounded(g, 0, 4, DistanceCost, 0, make([]float64, n-1)); !errors.Is(err, errShortSlice) {
+		t.Errorf("short bound: %v", err)
+	}
+	if _, _, err := AStarBounded(g, roadnet.NodeID(n), 4, DistanceCost, 0, make([]float64, n)); !errors.Is(err, errNodeRange) {
+		t.Errorf("src out of range: %v", err)
+	}
+}
+
+// TestTravelTimeCacheBitIdentical pins the memoised evaluator to
+// TravelTimeCost.Cost bit for bit on every road class, with and without
+// lights and at zero speed, over repeated, alternating, negative and
+// beyond-one-week departure times.
+func TestTravelTimeCacheBitIdentical(t *testing.T) {
+	var edges []roadnet.Edge
+	for _, c := range []roadnet.RoadClass{roadnet.Local, roadnet.Collector, roadnet.Arterial, roadnet.Highway} {
+		for lights := 0; lights <= 2; lights++ {
+			edges = append(edges, roadnet.Edge{Length: 137.5 + 91*float64(lights), Class: c, SpeedKmh: c.DefaultSpeedKmh(), Lights: lights})
+		}
+		edges = append(edges, roadnet.Edge{Length: 240, Class: c}) // zero speed: +Inf minutes
+	}
+	times := []SimTime{
+		At(0, 8, 0), At(0, 8, 0), At(0, 17, 30), At(0, 8, 0), At(0, 17, 30), At(0, 17, 30),
+		0, SimTime(math.Copysign(0, -1)), -0.25, -61.5, -MinutesPerDay - 479, -MinutesPerWeek, -3*MinutesPerWeek - 1030.125,
+		MinutesPerWeek, MinutesPerWeek + 481.5, 5*MinutesPerWeek + 1049.75, 1e6 + 0.3,
+	}
+	rng := rand.New(rand.NewSource(8))
+	for range 500 {
+		tm := SimTime((rng.Float64()*5 - 2) * MinutesPerWeek)
+		times = append(times, tm, tm)
+	}
+	var c TravelTimeCache
+	check := func(e *roadnet.Edge, tm SimTime) {
+		t.Helper()
+		if got, want := c.Cost(e, tm), TravelTimeCost.Cost(e, tm); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("class %v lights %d speed %v at %v: cached %v, want %v", e.Class, e.Lights, e.SpeedKmh, float64(tm), got, want)
+		}
+	}
+	for _, tm := range times { // every edge at one time, then the next time
+		for i := range edges {
+			check(&edges[i], tm)
+		}
+	}
+	for i := range 4 * len(times) { // a different time on every call
+		check(&edges[i%len(edges)], times[(i*7)%len(times)])
 	}
 }
 

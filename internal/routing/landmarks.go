@@ -246,6 +246,24 @@ func argmaxDist(dist []float64, taken map[roadnet.NodeID]bool) roadnet.NodeID {
 	return best
 }
 
+// DistancesTo fills dist with every node's shortest-path distance to dst
+// under the static, non-negative edge weights w (indexed by EdgeID), +Inf
+// where dst is unreachable: the reverse one-to-all sweep the landmark tables
+// are built from. For weights a cost function dominates, the result is an
+// admissible and consistent lower bound for searches toward dst
+// (AStarBounded). dist must have an entry per node and w one per edge.
+func DistancesTo(g *roadnet.Graph, w []float64, dst roadnet.NodeID, dist []float64) error {
+	n := g.NumNodes()
+	if int(dst) >= n || dst < 0 {
+		return errNodeRange
+	}
+	if len(dist) < n || len(w) < g.NumEdges() {
+		return errShortSlice
+	}
+	newMetricSearch(n).oneToAll(g, w, dst, dist[:n], true)
+	return nil
+}
+
 // metricSearch is the self-contained one-to-all Dijkstra used during
 // preprocessing. It runs on precomputed edge weights (no CostFunc calls, no
 // time dependence) and owns its scratch, so reverse rows can build in
@@ -436,7 +454,7 @@ func (p *Preprocessed) altBound(ws *searchSpace, v roadnet.NodeID, straight floa
 // heuristic. Safe for concurrent use.
 func (p *Preprocessed) AStar(src, dst roadnet.NodeID, t SimTime) (roadnet.Route, float64, error) {
 	ws := acquireSpace(p.g)
-	r, c, err := search(p.g, src, dst, p.cost, t, p.mcpm, ws, false, p)
+	r, c, err := search(p.g, src, dst, p.cost, t, p.mcpm, ws, false, p, nil)
 	releaseSpace(ws)
 	return r, c, err
 }

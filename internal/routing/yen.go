@@ -49,7 +49,7 @@ func kShortest(g *roadnet.Graph, src, dst roadnet.NodeID, k int, cost CostFunc, 
 	// the graph.
 	mcpm := cost.MinCostPerMeter(g)
 
-	bestPath, bestCost, err := searchShared(g, src, dst, cost, t, mcpm, ws, false, prep)
+	bestPath, bestCost, err := searchShared(g, src, dst, cost, t, mcpm, ws, false, prep, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -90,7 +90,7 @@ func kShortest(g *roadnet.Graph, src, dst roadnet.NodeID, k int, cost CostFunc, 
 				ws.ban(n)
 			}
 
-			spurPath, spurCost, err := searchShared(g, spurNode, dst, cost, t, mcpm, ws, true, prep)
+			spurPath, spurCost, err := searchShared(g, spurNode, dst, cost, t, mcpm, ws, true, prep, nil)
 			if err != nil {
 				continue
 			}

@@ -171,14 +171,7 @@ func (s *selector) discriminative(subset []int) bool {
 				}
 			}
 		}
-		for i := 1; i < s.n; i++ {
-			for k := 0; k < i; k++ {
-				if keys[i] == keys[k] {
-					return false
-				}
-			}
-		}
-		return true
+		return distinct(keys)
 	}
 	// General path (only reachable from the full-set sanity check): pairwise
 	// search for a separating landmark.
@@ -192,6 +185,20 @@ func (s *selector) discriminative(subset []int) bool {
 				}
 			}
 			if !sep {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// distinct reports whether the candidates' subset signatures are pairwise
+// different, i.e. whether the subset they were built over is
+// discriminative.
+func distinct(keys []uint64) bool {
+	for i := 1; i < len(keys); i++ {
+		for k := 0; k < i; k++ {
+			if keys[i] == keys[k] {
 				return false
 			}
 		}

@@ -128,19 +128,31 @@ func lexLess(a, b []int) bool {
 // no superset in that chain can beat it and the chain stops (the paper's
 // test-step pruning). Subtrees whose best-fill upper bound cannot beat the
 // incumbent are pruned (the paper's "tight upper bounds").
+//
+// The discriminative test runs on per-depth signature rows: row d holds, for
+// each candidate, bit p set iff the candidate passes landmark cur[p], p < d.
+// Appending a landmark extends the parent row by one bit, so a visited
+// subset costs O(n) to sign instead of a rebuild over all of cur.
 func (s *selector) greedy() ([]int, float64, error) {
 	m := len(s.ids)
 	kmax := s.kmax()
 	var best []int
 	bestVal := math.Inf(-1)
 
+	n := s.n
+	rows := make([]uint64, (kmax+1)*n)
 	cur := make([]int, 0, kmax)
 	var dfs func(sum float64, start int)
 	dfs = func(sum float64, start int) {
+		d := len(cur)
+		parent, row := rows[d*n:(d+1)*n], rows[(d+1)*n:(d+2)*n]
 		for j := start; j < m; j++ {
 			cur = append(cur, j)
 			nsum := sum + s.sigs[j]
-			if s.discriminative(cur) {
+			for i, sig := range parent {
+				row[i] = sig | (s.member[j]>>uint(i)&1)<<uint(d)
+			}
+			if distinct(row) {
 				v := nsum / float64(len(cur))
 				if v > bestVal+1e-15 || (math.Abs(v-bestVal) <= 1e-15 && lexLess(cur, best)) {
 					bestVal = v

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -188,9 +189,16 @@ func TestSelectionRespectsSizeBound(t *testing.T) {
 // over m landmarks with random membership and significances, retrying until
 // candidates are pairwise distinguishable.
 func randomInstance(seed int64) (*selector, bool) {
+	return randomSelector(seed, 5, 10, 2) // 2..6 candidates, 3..12 landmarks
+}
+
+// randomSelector is randomInstance with 2..1+nSpread candidates over
+// 3..2+mSpread landmarks, each candidate passing each landmark with
+// probability 1/oneIn.
+func randomSelector(seed int64, nSpread, mSpread, oneIn int) (*selector, bool) {
 	rng := rand.New(rand.NewSource(seed))
-	n := 2 + rng.Intn(5)  // 2..6 candidates
-	m := 3 + rng.Intn(10) // 3..12 landmarks
+	n := 2 + rng.Intn(nSpread)
+	m := 3 + rng.Intn(mSpread)
 	sigs := make([]float64, m)
 	for i := range sigs {
 		sigs[i] = rng.Float64()
@@ -201,7 +209,7 @@ func randomInstance(seed int64) (*selector, bool) {
 		for i := range cands {
 			var ids []landmark.ID
 			for j := 0; j < m; j++ {
-				if rng.Intn(2) == 1 {
+				if rng.Intn(oneIn) == oneIn-1 {
 					ids = append(ids, landmark.ID(j))
 				}
 			}
@@ -248,6 +256,82 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 150}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// greedyRef is GreedySelecting with the discriminative check rebuilt from
+// the whole chain at every DFS node, the reference for greedy's per-depth
+// signature rows.
+func (s *selector) greedyRef() ([]int, float64, error) {
+	m := len(s.ids)
+	kmax := s.kmax()
+	var best []int
+	bestVal := math.Inf(-1)
+
+	cur := make([]int, 0, kmax)
+	var dfs func(sum float64, start int)
+	dfs = func(sum float64, start int) {
+		for j := start; j < m; j++ {
+			cur = append(cur, j)
+			nsum := sum + s.sigs[j]
+			if s.discriminative(cur) {
+				v := nsum / float64(len(cur))
+				if v > bestVal+1e-15 || (math.Abs(v-bestVal) <= 1e-15 && lexLess(cur, best)) {
+					bestVal = v
+					best = append([]int(nil), cur...)
+				}
+				cur = cur[:len(cur)-1]
+				continue
+			}
+			if len(cur) < kmax {
+				ub := math.Inf(-1)
+				fill := nsum
+				for t := 1; t <= kmax-len(cur) && j+t < m; t++ {
+					fill += s.sigs[j+t]
+					if v := fill / float64(len(cur)+t); v > ub {
+						ub = v
+					}
+				}
+				if ub > bestVal+1e-15 {
+					dfs(nsum, j+1)
+				}
+			}
+			cur = cur[:len(cur)-1]
+		}
+	}
+	dfs(0, 0)
+	if best == nil {
+		return nil, 0, ErrNoSelection
+	}
+	return best, bestVal, nil
+}
+
+// TestGreedyMatchesReference: on random selectors of up to 17 candidates
+// and 30 landmarks, greedy selects exactly what the rebuild-every-signature
+// reference selects, and (where brute force is affordable) the optimum.
+// Sparse memberships need long chains before a subset discriminates, which
+// takes the signature rows past depth 8.
+func TestGreedyMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 600; seed++ {
+		oneIn := 2
+		if seed%3 == 2 {
+			oneIn = 7
+		}
+		sel, ok := randomSelector(seed, 16, 28, oneIn)
+		if !ok {
+			continue
+		}
+		got, gotVal, err := sel.greedy()
+		want, wantVal, wantErr := sel.greedyRef()
+		if (err != nil) != (wantErr != nil) || gotVal != wantVal || !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: greedy %v (%v, %v), reference %v (%v, %v)", seed, got, gotVal, err, want, wantVal, wantErr)
+		}
+		if len(sel.ids) > 14 || err != nil {
+			continue
+		}
+		if _, bfVal, err := sel.bruteForce(); err != nil || math.Abs(bfVal-gotVal) > 1e-9 {
+			t.Fatalf("seed %d: greedy value %v, brute force %v (%v)", seed, gotVal, bfVal, err)
+		}
 	}
 }
 

@@ -3,8 +3,10 @@ package traj
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"crowdplanner/internal/roadnet"
 	"crowdplanner/internal/routing"
@@ -36,6 +38,11 @@ type Dataset struct {
 	// redistributed over the realized ODs, so the corpus size still matches
 	// NumODs*TripsPerOD.
 	ODShortfall int
+
+	// ranked is Drivers ordered by rankByID and weights the per-edge bound
+	// weights of the GroundTruth poll; both are fixed at construction.
+	ranked  []*Driver
+	weights boundWeights
 
 	mu sync.RWMutex
 	//cplint:guardedby mu
@@ -180,6 +187,7 @@ func GenerateDataset(g *roadnet.Graph, drivers []*Driver, cfg DatasetConfig) *Da
 			matched, err := MapMatch(g, tr.Samples)
 			if err == nil {
 				tr.Route = matched
+				tr.Samples = nil
 			}
 			trips = append(trips, tr)
 		}
@@ -193,7 +201,7 @@ func GenerateDataset(g *roadnet.Graph, drivers []*Driver, cfg DatasetConfig) *Da
 // indexes over them. Trips added later through IngestTrips are the live
 // stream a storage backend persists. The dataset takes ownership of trips.
 func NewDataset(g *roadnet.Graph, drivers []*Driver, trips []Trajectory) *Dataset {
-	ds := &Dataset{Graph: g, Drivers: drivers, Trips: trips}
+	ds := &Dataset{Graph: g, Drivers: drivers, Trips: trips, ranked: rankByID(drivers), weights: newBoundWeights(g)}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	ds.base = len(trips)
@@ -241,55 +249,108 @@ func apportion(total int, weights []float64, wsum float64) []int {
 // prefer" that all recommenders are scored against.
 //
 // The capped poll is a deterministic subsample keyed on driver IDs (see
-// sampleByID), not a prefix of the Drivers slice: drivers[:sampleDrivers]
+// rankByID), not a prefix of the Drivers slice: drivers[:sampleDrivers]
 // always polled the same fixed drivers, biasing the "population" mode toward
 // whoever happened to be generated first and making the verdict depend on
 // slice order.
+//
+// The poll computes the destination bound (three reverse sweeps from to)
+// once and shares it with every driver's search, and runs the drivers on
+// min(GOMAXPROCS, sample) goroutines, the caller among them. Votes are
+// tallied in sample order, so the verdict does not depend on scheduling.
 func (ds *Dataset) GroundTruth(from, to roadnet.NodeID, t routing.SimTime, sampleDrivers int) (roadnet.Route, error) {
-	drivers := ds.Drivers
+	drivers := ds.ranked
 	if sampleDrivers > 0 && sampleDrivers < len(drivers) {
-		drivers = sampleByID(drivers, sampleDrivers)
+		drivers = drivers[:sampleDrivers]
 	}
+	g := ds.Graph
+	bound, err := ds.weights.to(g, to)
+	if err != nil { // to is not a node: no driver finds a route
+		return roadnet.Route{}, routing.ErrNoRoute
+	}
+	routes := make([]roadnet.Route, len(drivers)) // empty: the driver found no route
+	var next atomic.Int64
+	poll := func() {
+		h := make([]float64, g.NumNodes())
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(drivers) {
+				return
+			}
+			if r, err := drivers[i].preferredRoute(g, from, to, t, bound, h); err == nil {
+				routes[i] = r
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(drivers)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			poll()
+		}()
+	}
+	poll()
+	wg.Wait()
+	return mode(routes)
+}
+
+// mode returns the most common non-empty route, ties going to the smallest
+// Route.String() (the order the string-keyed tally used to sort its keys
+// in); the strings are built only when there is a tie.
+func mode(routes []roadnet.Route) (roadnet.Route, error) {
 	type bucket struct {
 		route roadnet.Route
 		votes int
 	}
-	counts := map[string]*bucket{}
-	for _, d := range drivers {
-		r, err := d.RouteFor(ds.Graph, from, to, t, nil)
-		if err != nil {
+	var buckets []bucket
+	top := 0
+tally:
+	for _, r := range routes {
+		if len(r.Nodes) == 0 {
 			continue
 		}
-		k := r.String()
-		if b, ok := counts[k]; ok {
-			b.votes++
-		} else {
-			counts[k] = &bucket{route: r, votes: 1}
+		for i := range buckets {
+			if buckets[i].route.Equal(r) {
+				buckets[i].votes++
+				top = max(top, buckets[i].votes)
+				continue tally
+			}
+		}
+		buckets = append(buckets, bucket{route: r, votes: 1})
+		top = max(top, 1)
+	}
+	var best *bucket
+	var bestKey string
+	for i := range buckets {
+		b := &buckets[i]
+		if b.votes < top {
+			continue
+		}
+		if best == nil {
+			best = b
+			continue
+		}
+		if bestKey == "" {
+			bestKey = best.route.String()
+		}
+		if k := b.route.String(); k < bestKey {
+			best, bestKey = b, k
 		}
 	}
-	if len(counts) == 0 {
+	if best == nil {
 		return roadnet.Route{}, routing.ErrNoRoute
-	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys) // deterministic tie-break
-	best := counts[keys[0]]
-	for _, k := range keys[1:] {
-		if counts[k].votes > best.votes {
-			best = counts[k]
-		}
 	}
 	return best.route, nil
 }
 
-// sampleByID picks k drivers deterministically by ranking them on a hash of
-// their ID (splitmix64 finalizer over a fixed salt). The selection is a
-// function of the IDs alone — shuffling the Drivers slice, or regenerating
-// the population in a different order, polls the same drivers — and it
-// spreads the poll across the whole population instead of a fixed prefix.
-func sampleByID(drivers []*Driver, k int) []*Driver {
+// rankByID orders drivers by a hash of their ID (splitmix64 finalizer over a
+// fixed salt), ties by ID; a poll of k drivers takes the first k. The
+// selection is a function of the IDs alone — shuffling the Drivers slice,
+// or regenerating the population in a different order, polls the same
+// drivers — and it spreads the poll across the whole population instead of
+// a fixed prefix.
+func rankByID(drivers []*Driver) []*Driver {
 	type scored struct {
 		h uint64
 		d *Driver
@@ -307,7 +368,7 @@ func sampleByID(drivers []*Driver, k int) []*Driver {
 		}
 		return all[a].d.ID < all[b].d.ID
 	})
-	out := make([]*Driver, k)
+	out := make([]*Driver, len(all))
 	for i := range out {
 		out[i] = all[i].d
 	}

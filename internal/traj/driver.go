@@ -66,7 +66,11 @@ func classDiscomfort(c roadnet.RoadClass) float64 {
 // PerceivedCost returns the driver's subjective cost for an edge at time t.
 // It is deterministic; per-trip noise is applied by RouteFor.
 func (d *Driver) PerceivedCost(g *roadnet.Graph, e *roadnet.Edge, t routing.SimTime) float64 {
-	tt := routing.TravelTimeCost.Cost(e, t)
+	return d.perceivedCost(g, e, routing.TravelTimeCost.Cost(e, t))
+}
+
+// perceivedCost is PerceivedCost given the edge's travel time tt.
+func (d *Driver) perceivedCost(g *roadnet.Graph, e *roadnet.Edge, tt float64) float64 {
 	cost := d.Prefs.WTime*tt +
 		d.Prefs.WDist*e.Length/1000 +
 		d.Prefs.WLights*float64(e.Lights) +
@@ -87,34 +91,104 @@ func (d *Driver) PerceivedCost(g *roadnet.Graph, e *roadnet.Edge, t routing.SimT
 // PerceivedCost over g: the time term is at least WTime·(the travel-time
 // model's per-meter bound for g), the distance term WDist/1000 per length
 // meter scaled by the graph's length ratio, and the comfort and familiarity
-// terms only ever add cost (the familiarity factor multiplies by >= 1). It
-// lets the noise-free preferred-route search run goal-directed; per-trip
-// noise is multiplicative with factors below 1, so the bound does not hold
-// for noisy searches and they stay plain Dijkstra.
+// terms only ever add cost (the familiarity factor multiplies by >= 1).
 func (d *Driver) minCostPerMeter(g *roadnet.Graph) float64 {
 	return d.Prefs.WTime*routing.TravelTimeCost.MinCostPerMeter(g) +
 		d.Prefs.WDist/1000*g.MinLengthRatio()
 }
 
+// boundWeights are three static per-edge weights that every driver's
+// perceived cost dominates term by term: free-flow minutes with lights
+// (TravelTimeCost.MinEdgeCost, at most the congested travel time), length in
+// meters, and the light count. fillBound weighs them by WTime, WDist/1000
+// and WLights, in that order.
+type boundWeights [3][]float64
+
+func newBoundWeights(g *roadnet.Graph) boundWeights {
+	var w boundWeights
+	for i := range w {
+		w[i] = make([]float64, g.NumEdges())
+	}
+	free := routing.TravelTimeCost.(routing.EdgeBounder)
+	for i := range w[0] {
+		e := g.Edge(roadnet.EdgeID(i))
+		w[0][i], w[1][i], w[2][i] = free.MinEdgeCost(g, e), e.Length, float64(e.Lights)
+	}
+	return w
+}
+
+// destBound holds every node's exact distance to one destination under each
+// bound weight. It is shared by all drivers polled for that destination.
+type destBound [3][]float64
+
+// to runs the three reverse sweeps from dst.
+func (w boundWeights) to(g *roadnet.Graph, dst roadnet.NodeID) (destBound, error) {
+	var b destBound
+	for i := range w {
+		b[i] = make([]float64, g.NumNodes())
+		if err := routing.DistancesTo(g, w[i], dst, b[i]); err != nil {
+			return destBound{}, err
+		}
+	}
+	return b, nil
+}
+
+// fillBound writes the driver's destination bound into h:
+//
+//	h[v] = WTime·T[v] + WDist/1000·L[v] + WLights·N[v]
+//
+// Each term is an exact shortest-path distance to the destination under a
+// weight no larger than the matching term of PerceivedCost, and comfort and
+// familiarity only add (the familiarity factor multiplies by >= 1), so h is
+// admissible and consistent for this driver: the destination acts as its
+// own ALT landmark. Terms with a zero weight are skipped, so 0·(+Inf) never
+// makes a NaN; the preference weights are non-negative.
+func (d *Driver) fillBound(b destBound, h []float64) {
+	clear(h)
+	for i, w := range [...]float64{d.Prefs.WTime, d.Prefs.WDist / 1000, d.Prefs.WLights} {
+		if !(w > 0) {
+			continue
+		}
+		for v, x := range b[i] {
+			h[v] += w * x
+		}
+	}
+}
+
+// preferredRoute is the noise-free preferred-route search: A* under the
+// driver's perceived cost with the heuristic max(straight-line bound,
+// destination bound). h is scratch with an entry per node.
+func (d *Driver) preferredRoute(g *roadnet.Graph, src, dst roadnet.NodeID, t routing.SimTime, b destBound, h []float64) (roadnet.Route, error) {
+	d.fillBound(b, h)
+	var tt routing.TravelTimeCache
+	cost := routing.BoundedCostFn(func(e *roadnet.Edge, tm routing.SimTime) float64 {
+		return d.perceivedCost(g, e, tt.Cost(e, tm))
+	}, d.minCostPerMeter(g))
+	r, _, err := routing.AStarBounded(g, src, dst, cost, t, h)
+	return r, err
+}
+
 // RouteFor returns the route this driver would take from src to dst at time
 // t. rng supplies the per-trip noise; pass nil for the noise-free preferred
-// route.
+// route, which runs the same bounded search as GroundTruth with the
+// destination bound computed for this one call. Per-trip noise is
+// multiplicative with factors below 1, so no bound holds for noisy searches
+// and they stay plain Dijkstra.
 func (d *Driver) RouteFor(g *roadnet.Graph, src, dst roadnet.NodeID, t routing.SimTime, rng *rand.Rand) (roadnet.Route, error) {
-	noisy := rng != nil && d.TripNoise > 0
-	fn := func(e *roadnet.Edge, tm routing.SimTime) float64 {
-		c := d.PerceivedCost(g, e, tm)
-		if noisy {
-			// Multiplicative noise keeps costs positive. The noise is drawn
-			// per edge per call, modelling day-to-day whim.
-			c *= math.Exp(rng.NormFloat64() * d.TripNoise)
+	if rng == nil || d.TripNoise <= 0 {
+		b, err := newBoundWeights(g).to(g, dst)
+		if err != nil {
+			return roadnet.Route{}, err
 		}
-		return c
+		return d.preferredRoute(g, src, dst, t, b, make([]float64, g.NumNodes()))
 	}
-	cost := routing.CostFn(fn)
-	if !noisy {
-		cost = routing.BoundedCostFn(fn, d.minCostPerMeter(g))
-	}
-	r, _, err := routing.AStar(g, src, dst, cost, t)
+	var tt routing.TravelTimeCache
+	cost := routing.CostFn(func(e *roadnet.Edge, tm routing.SimTime) float64 {
+		// Multiplicative noise keeps costs positive. The noise is drawn per
+		// edge per call, modelling day-to-day whim.
+		return d.perceivedCost(g, e, tt.Cost(e, tm)) * math.Exp(rng.NormFloat64()*d.TripNoise)
+	})
+	r, _, err := routing.ShortestPath(g, src, dst, cost, t)
 	return r, err
 }
 

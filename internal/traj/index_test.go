@@ -48,7 +48,7 @@ func TestGroundTruthOrderInvariant(t *testing.T) {
 func TestSampleByIDNotPrefix(t *testing.T) {
 	g := testGraph()
 	drivers := NewPopulation(g, DefaultPopulationConfig())
-	picked := sampleByID(drivers, 40)
+	picked := rankByID(drivers)[:40]
 	if len(picked) != 40 {
 		t.Fatalf("picked %d drivers, want 40", len(picked))
 	}

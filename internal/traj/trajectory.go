@@ -17,8 +17,11 @@ type Sample struct {
 // Trajectory is a recorded trip: the raw GPS samples plus, once map-matched,
 // the route through the road network.
 type Trajectory struct {
-	Driver  DriverID
-	Depart  routing.SimTime
+	Driver DriverID
+	Depart routing.SimTime
+	// Samples are the raw GPS fixes. GenerateDataset sets them to nil once
+	// MapMatch succeeds: nothing reads them after matching, and the default
+	// world's 70k fixes would hold about 2.5 MB of heap.
 	Samples []Sample
 	Route   roadnet.Route // map-matched node sequence; may be empty pre-matching
 }
