@@ -49,6 +49,10 @@ func (s TaskState) String() string {
 
 // PendingTask is a crowd task awaiting worker answers.
 //
+// Once the task closes, System.PendingTask returns a record of it instead:
+// ID, Req, Assigned, State and a Result whose Task, Run and Workers are nil
+// and whose candidates carry no landmark routes.
+//
 // ID, Req, Task and Assigned are immutable after publication. State, Result
 // and the tree cursor mutate under the owning system's lock as answers
 // arrive; concurrent observers (e.g. a state poll racing an answer) must
@@ -163,7 +167,9 @@ func (s *System) RecommendAsync(ctx context.Context, req Request) (*Response, *P
 	// defensive leaf root) resolves immediately.
 	if p.node == nil || p.node.IsLeaf() {
 		var batch walBatch
+		s.mu.Lock()
 		s.finishPending(p, TaskResolved, 1, &batch)
+		s.mu.Unlock()
 		s.flushWAL(&batch)
 		return p.Result, nil, nil
 	}
@@ -256,7 +262,7 @@ func (s *System) PendingTasks(w worker.ID) []*PendingTask {
 	defer s.mu.Unlock()
 	var out []*PendingTask
 	for _, p := range s.pending {
-		if p.State == TaskOpen && p.IsAssigned(w) && !p.answered[w] {
+		if p.IsAssigned(w) && !p.answered[w] {
 			out = append(out, p)
 		}
 	}
@@ -266,12 +272,17 @@ func (s *System) PendingTasks(w worker.ID) []*PendingTask {
 	return out
 }
 
-// PendingTask returns the task with the given ID (open or closed).
+// PendingTask returns the task with the given ID: an open task, or one of
+// the last RetainedClosedTasks closed ones as a record of its state, result
+// and assigned workers (no question tree, no landmark routes, no answers).
+// Tasks that closed earlier are forgotten.
 func (s *System) PendingTask(id int64) (*PendingTask, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.pending[id]
-	return p, ok
+	if p, ok := s.pending[id]; ok {
+		return p, true
+	}
+	return s.closed.get(id)
 }
 
 // OpenTasks counts the pending tasks still collecting answers. Surfaced on
@@ -279,14 +290,68 @@ func (s *System) PendingTask(id int64) (*PendingTask, bool) {
 func (s *System) OpenTasks() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	//cplint:ordered-irrelevant -- counting matches is commutative; no order reaches the caller
-	for _, p := range s.pending {
-		if p.State == TaskOpen {
-			n++
-		}
+	return len(s.pending)
+}
+
+// openTask returns open task id, or ErrTaskClosed for a task that closed
+// recently enough to be remembered, or ErrUnknownTask. Caller holds mu.
+func (s *System) openTask(id int64) (*PendingTask, error) {
+	if p, ok := s.pending[id]; ok {
+		return p, nil
 	}
-	return n
+	if _, ok := s.closed.get(id); ok {
+		return nil, ErrTaskClosed
+	}
+	return nil, ErrUnknownTask
+}
+
+// RetainedClosedTasks is the number of closed tasks a System remembers, for
+// GET /v1/tasks/{id} and the task_closed reply; a task that closed earlier
+// is unknown (ErrUnknownTask), as if it had never been published.
+const RetainedClosedTasks = 1024
+
+// closedTasks is a ring of the most recently closed tasks.
+type closedTasks struct {
+	ring [RetainedClosedTasks]*PendingTask
+	next int           // the slot the next closed task takes
+	slot map[int64]int // task ID → ring slot
+}
+
+func (c *closedTasks) get(id int64) (*PendingTask, bool) {
+	i, ok := c.slot[id]
+	if !ok {
+		return nil, false
+	}
+	return c.ring[i], true
+}
+
+// add remembers a closed task, forgetting the oldest when the ring is full.
+func (c *closedTasks) add(p *PendingTask) {
+	if c.slot == nil {
+		c.slot = make(map[int64]int, RetainedClosedTasks)
+	}
+	if old := c.ring[c.next]; old != nil {
+		delete(c.slot, old.ID)
+	}
+	c.ring[c.next] = p
+	c.slot[p.ID] = c.next
+	c.next = (c.next + 1) % RetainedClosedTasks
+}
+
+// retire moves a closed task from pending into the closed ring, as a record
+// of what the task endpoints still read: its state, result and assigned
+// workers. Caller holds mu.
+func (s *System) retire(p *PendingTask) {
+	delete(s.pending, p.ID)
+	res := *p.Result
+	res.Task, res.Run, res.Workers = nil, nil, nil
+	res.Candidates = make([]task.Candidate, len(p.Result.Candidates))
+	for i, c := range p.Result.Candidates {
+		res.Candidates[i] = task.Candidate{Source: c.Source, Route: c.Route, Prior: c.Prior}
+	}
+	s.closed.add(&PendingTask{
+		ID: p.ID, Req: p.Req, Assigned: p.Assigned, State: p.State, Result: &res, owner: s,
+	})
 }
 
 // SubmitAnswer records worker w's answer to the current question of task
@@ -308,12 +373,9 @@ func (s *System) SubmitAnswer(id int64, w worker.ID, yes bool) (*Response, error
 func (s *System) submitAnswerBatched(id int64, w worker.ID, yes bool, batch *walBatch) (*Response, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.pending[id]
-	if !ok {
-		return nil, ErrUnknownTask
-	}
-	if p.State != TaskOpen {
-		return nil, ErrTaskClosed
+	p, err := s.openTask(id)
+	if err != nil {
+		return nil, err
 	}
 	if !p.IsAssigned(w) {
 		return nil, ErrNotAssigned
@@ -393,9 +455,9 @@ func (s *System) advancePending(p *PendingTask, yes bool, batch *walBatch) {
 	}
 }
 
-// finishPending finalizes a pending task. Caller holds mu (or the task is
-// not yet registered) and flushes batch after release. confOverride > 0
-// forces a confidence value.
+// finishPending finalizes a pending task and, if it was published, retires
+// it from pending. Caller holds mu and flushes batch after release.
+// confOverride > 0 forces a confidence value.
 func (s *System) finishPending(p *PendingTask, state TaskState, confOverride float64, batch *walBatch) {
 	var winner task.Candidate
 	conf := confOverride
@@ -433,6 +495,7 @@ func (s *System) finishPending(p *PendingTask, state TaskState, confOverride flo
 	p.State = state
 	if p.published {
 		batch.closes = append(batch.closes, p.ID)
+		s.retire(p)
 	}
 	s.poolMu.Lock()
 	for _, r := range p.Assigned {
@@ -459,12 +522,9 @@ func (s *System) ExpireTask(id int64) (*Response, error) {
 	resp, err := func() (*Response, error) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		p, ok := s.pending[id]
-		if !ok {
-			return nil, ErrUnknownTask
-		}
-		if p.State != TaskOpen {
-			return nil, ErrTaskClosed
+		p, err := s.openTask(id)
+		if err != nil {
+			return nil, err
 		}
 		s.finishPending(p, TaskExpired, 0, &batch)
 		return p.Result, nil

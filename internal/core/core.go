@@ -216,7 +216,9 @@ type System struct {
 	//cplint:guardedby mu
 	nextTaskID int64
 	//cplint:guardedby mu
-	pending map[int64]*PendingTask // async crowd tasks awaiting answers
+	pending map[int64]*PendingTask // open async crowd tasks awaiting answers
+	//cplint:guardedby mu
+	closed closedTasks // the most recently closed ones, as compact records
 
 	poolMu   sync.RWMutex        // guards Outstanding/Reward/History on pool workers
 	reliance *reliabilityTracker // per-source precision (future work §VI)

@@ -36,12 +36,25 @@ func cloneTrips(s *Scenario, n int, shiftMin float64) []traj.Trajectory {
 	return out
 }
 
+// tripsAlong counts the corpus trips driver d made along route r, through
+// the aggregate query LDR reads.
+func tripsAlong(ds *traj.Dataset, d traj.DriverID, r roadnet.Route) int {
+	n := 0
+	for _, c := range ds.TripCounts(r.Source(), r.Dest(), 0) {
+		if c.Driver == d && ds.Route(c.Route).Equal(r) {
+			n += c.Trips
+		}
+	}
+	return n
+}
+
 func TestIngestTripsValidationAndVisibility(t *testing.T) {
 	s := freshScenario(t)
 	sys := s.System
 	before := sys.CorpusSize()
 
 	good := cloneTrips(s, 3, 30)
+	along := tripsAlong(s.Data, good[0].Driver, good[0].Route)
 	// A provably disconnected hop: some node pair with no edge between them.
 	var disconnected roadnet.Route
 	for b := roadnet.NodeID(1); b < roadnet.NodeID(s.Graph.NumNodes()); b++ {
@@ -81,16 +94,14 @@ func TestIngestTripsValidationAndVisibility(t *testing.T) {
 	}
 
 	// The ingested trips are visible to the miners' query path immediately.
-	od := good[0].Route
-	matches := s.Data.TripsBetween(od.Source(), od.Dest(), 0)
-	found := 0
-	for _, m := range matches {
-		if m.Route.Equal(od) {
-			found++
+	want := along
+	for _, tr := range good {
+		if tr.Driver == good[0].Driver && tr.Route.Equal(good[0].Route) {
+			want++
 		}
 	}
-	if found < 1 {
-		t.Fatal("ingested trip not visible through TripsBetween")
+	if got := tripsAlong(s.Data, good[0].Driver, good[0].Route); got != want {
+		t.Fatalf("TripCounts sees %d trips along the ingested route, want %d", got, want)
 	}
 }
 

@@ -175,9 +175,7 @@ func (s *System) captureState() *store.State {
 	st.NextTaskID = s.nextTaskID
 	//cplint:ordered-irrelevant -- store.State.FoldEvents sorts OpenTasks by ID before serializing
 	for _, p := range s.pending {
-		if p.State == TaskOpen {
-			st.OpenTasks = append(st.OpenTasks, pendingToRecord(p))
-		}
+		st.OpenTasks = append(st.OpenTasks, pendingToRecord(p))
 	}
 	s.mu.Unlock()
 
@@ -327,8 +325,9 @@ func (s *System) worldFingerprint() uint64 {
 }
 
 // validateLoaded rejects persisted state that references nodes outside this
-// world's graph — the signature of a data directory written by a different
-// scenario. Failing loudly beats panicking in the spatial index (or quietly
+// world's graph, and trips that ingestion would have rejected — the
+// signature of a data directory written by a different scenario. Failing
+// loudly beats panicking in the spatial index or the corpus (or quietly
 // serving someone else's truths).
 func (s *System) validateLoaded(loaded *store.State) error {
 	n := int32(s.graph.NumNodes())
@@ -347,11 +346,12 @@ func (s *System) validateLoaded(loaded *store.State) error {
 			return fmt.Errorf("core: persisted task %d (%d→%d) references nodes outside this %d-node world; was the data directory written by a different scenario?", t.ID, t.From, t.To, n)
 		}
 	}
-	for _, t := range loaded.Trips {
-		for _, nd := range t.Nodes {
-			if badNode(nd) {
-				return fmt.Errorf("core: persisted trajectory (seq %d) references nodes outside this %d-node world; was the data directory written by a different scenario?", t.Seq, n)
-			}
+	// A trip must pass the checks ingestion applies: the corpus counts
+	// footmarks per graph edge and cannot hold a hop that is not one.
+	for _, r := range loaded.Trips {
+		tr := recordToTrip(r)
+		if reason := s.validateTrip(&tr); reason != "" {
+			return fmt.Errorf("core: persisted trajectory (seq %d) would be rejected by ingestion: %s; was the data directory written by a different scenario?", r.Seq, reason)
 		}
 	}
 	return nil

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"crowdplanner/internal/roadnet"
 	"crowdplanner/internal/store"
 	"crowdplanner/internal/store/diskstore"
 	"crowdplanner/internal/traj"
@@ -280,6 +283,62 @@ func TestMismatchedWorldRejected(t *testing.T) {
 	}
 }
 
+// TestInvalidPersistedTripRejected: a persisted trip that ingestion would
+// have refused — a hop that is not a graph edge, fewer than 2 nodes, or a
+// negative or non-finite departure — must fail the load with an error that
+// names its sequence number, instead of entering the corpus.
+func TestInvalidPersistedTripRejected(t *testing.T) {
+	g := roadnet.Generate(SmallScenarioConfig().City)
+	var far int32
+	for b := 1; b < g.NumNodes(); b++ {
+		if _, ok := g.FindEdge(0, roadnet.NodeID(b)); !ok {
+			far = int32(b)
+			break
+		}
+	}
+	e := g.Edge(0)
+	hop := []int32{int32(e.From), int32(e.To)}
+	for _, tc := range []struct {
+		name string
+		rec  store.TrajRecord
+	}{
+		{"non-edge hop", store.TrajRecord{Nodes: []int32{0, far}, DepartMin: 480}},
+		{"one node", store.TrajRecord{Nodes: []int32{3}, DepartMin: 480}},
+		{"negative depart", store.TrajRecord{Nodes: hop, DepartMin: -1}},
+		{"NaN depart", store.TrajRecord{Nodes: hop, DepartMin: math.NaN()}},
+		{"infinite depart", store.TrajRecord{Nodes: hop, DepartMin: math.Inf(1)}},
+		{"node out of range", store.TrajRecord{Nodes: []int32{0, int32(g.NumNodes())}, DepartMin: 480}},
+	} {
+		rec := tc.rec
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ds, err := diskstore.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			good := store.TrajRecord{Seq: 0, Nodes: hop, DepartMin: 480}
+			rec.Seq = 7
+			if err := ds.AppendTrips([]store.TrajRecord{good, rec}); err != nil {
+				t.Fatal(err)
+			}
+			ds.Close()
+
+			ds2, err := diskstore.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds2.Close()
+			cfg := SmallScenarioConfig()
+			cfg.System.Store = ds2
+			scn := BuildScenario(cfg)
+			_, err = scn.System.LoadFromStore(context.Background())
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("seq %d", rec.Seq)) {
+				t.Fatalf("load error = %v, want one naming seq %d", err, rec.Seq)
+			}
+		})
+	}
+}
+
 // TestWorldFingerprintRejected: a data directory pinned by one scenario is
 // refused by a same-sized world generated from a different seed — node IDs
 // line up, so only the fingerprint can tell them apart.
@@ -355,16 +414,12 @@ func TestIngestedTripsSurviveRestart(t *testing.T) {
 			t.Fatalf("restored trip %d = %+v, want %+v", i, restored[i], want)
 		}
 	}
+	// Both waves count again in the aggregate the miners read, as many
+	// times as they were ingested.
 	tr := first[0]
-	matches := scn2.Data.TripsBetween(tr.Route.Source(), tr.Route.Dest(), 0)
-	found := false
-	for _, m := range matches {
-		if m.Depart == tr.Depart && m.Route.Equal(tr.Route) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("replayed trip not visible to TripsBetween after restart")
+	want := tripsAlong(scn1.Data, tr.Driver, tr.Route)
+	if got := tripsAlong(scn2.Data, tr.Driver, tr.Route); got != want || got < 1 {
+		t.Fatalf("after restart TripCounts sees %d trips along a replayed route, want %d", got, want)
 	}
 
 	// A second snapshot+restart round trip must not duplicate anything.

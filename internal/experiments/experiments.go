@@ -167,6 +167,16 @@ func denseODs(scn *core.Scenario, n int) []core.Request {
 	return out
 }
 
+// odSupport counts the corpus trips whose endpoints lie within LDR's 300 m
+// match radius of from and to.
+func odSupport(scn *core.Scenario, from, to roadnet.NodeID) int {
+	n := 0
+	for _, c := range scn.Data.TripCounts(from, to, 300) {
+		n += c.Trips
+	}
+	return n
+}
+
 // sparseODs draws OD pairs that have little or no trajectory support.
 func sparseODs(scn *core.Scenario, n int, seed int64) []core.Request {
 	rng := newRng(seed)
@@ -176,7 +186,7 @@ func sparseODs(scn *core.Scenario, n int, seed int64) []core.Request {
 		if len(out) >= n {
 			break
 		}
-		if len(scn.Data.TripsBetween(od.From, od.To, 300)) > 2 {
+		if odSupport(scn, od.From, od.To) > 2 {
 			continue // too well supported to count as sparse
 		}
 		out = append(out, core.Request{

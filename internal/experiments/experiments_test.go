@@ -50,13 +50,13 @@ func TestDenseAndSparseODs(t *testing.T) {
 	}
 	// Dense ODs must have real support.
 	for _, req := range dense[:3] {
-		if len(scn.Data.TripsBetween(req.From, req.To, 300)) < 3 {
+		if odSupport(scn, req.From, req.To) < 3 {
 			t.Error("dense OD lacks trips")
 		}
 	}
 	sparse := sparseODs(scn, 8, 42)
 	for _, req := range sparse {
-		if len(scn.Data.TripsBetween(req.From, req.To, 300)) > 2 {
+		if odSupport(scn, req.From, req.To) > 2 {
 			t.Error("sparse OD has too many trips")
 		}
 	}

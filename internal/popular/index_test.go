@@ -15,7 +15,8 @@ import (
 // dataset built with all its trips and on one that received half of them
 // through live ingestion. (Each index query the miners read is pinned
 // against a linear scan in package traj.) The benchmarks at the bottom
-// measure the miners at 100k trips.
+// measure the miners at 100k trips, and on the default world's corpus as it
+// grows from 1.5k to 600k trips.
 
 // corpusGraph is the mid-size generated city shared by corpus builders.
 func corpusGraph(tb testing.TB) *roadnet.Graph {
@@ -164,8 +165,8 @@ func TestMFPWindowBoundaryExact(t *testing.T) {
 	}
 }
 
-// TestMinersDeterministicAcrossRuns: the sorted-adjacency searches must make
-// tie-broken results stable run to run on both datasets.
+// TestMinersDeterministicAcrossRuns: the searches over the road graph must
+// make tie-broken results stable run to run on both datasets.
 func TestMinersDeterministicAcrossRuns(t *testing.T) {
 	g := corpusGraph(t)
 	templates := routeTemplates(t, g, 20, 15)
@@ -209,3 +210,63 @@ func benchMine(b *testing.B, m Miner) {
 func BenchmarkMineIndexedMPR100k(b *testing.B) { benchMine(b, NewMPR()) }
 func BenchmarkMineIndexedMFP100k(b *testing.B) { benchMine(b, NewMFP()) }
 func BenchmarkMineIndexedLDR100k(b *testing.B) { benchMine(b, NewLDR()) }
+
+// ---- benchmarks: the miners on the default world as its corpus grows ----
+
+// scaleState holds the default world's corpus (1.5k trips) and a copy
+// grown to 600k trips by ingesting shifted copies of its trips in batches
+// of 10, as a serving workload that ingests beside recommends would.
+var scaleState struct {
+	base, grown *traj.Dataset
+	ods         [][2]roadnet.NodeID
+}
+
+func scaleDatasets() {
+	if scaleState.base != nil {
+		return
+	}
+	g := roadnet.Generate(roadnet.DefaultGenConfig())
+	ds := traj.GenerateDataset(g, traj.NewPopulation(g, traj.DefaultPopulationConfig()), traj.DefaultDatasetConfig())
+	grown := traj.NewDataset(g, ds.Drivers, append([]traj.Trajectory(nil), ds.Trips...))
+	rng := rand.New(rand.NewSource(3))
+	batch := make([]traj.Trajectory, 10)
+	for grown.NumTrips() < 600_000 {
+		for i := range batch {
+			tr := ds.Trips[rng.Intn(len(ds.Trips))]
+			tr.Depart += routing.SimTime(rng.Intn(7 * 1440))
+			batch[i] = tr
+		}
+		grown.IngestTrips(batch)
+	}
+	// ODs a few nodes into corpus routes, where every miner has evidence.
+	for range 256 {
+		nodes := ds.Trips[rng.Intn(len(ds.Trips))].Route.Nodes
+		cut := max(1, len(nodes)/4)
+		from, to := nodes[rng.Intn(cut)], nodes[len(nodes)-1-rng.Intn(cut)]
+		if from != to {
+			scaleState.ods = append(scaleState.ods, [2]roadnet.NodeID{from, to})
+		}
+	}
+	scaleState.base, scaleState.grown = ds, grown
+}
+
+// BenchmarkMinersAtScale times one call of each miner on corpus-route ODs
+// at departures across the week, on the default world's corpus and on the
+// same corpus grown to 600k trips. Per-call cost should not track the trip
+// count.
+func BenchmarkMinersAtScale(b *testing.B) {
+	scaleDatasets()
+	for _, size := range []struct {
+		name string
+		ds   *traj.Dataset
+	}{{"1.5k", scaleState.base}, {"600k", scaleState.grown}} {
+		for _, m := range []Miner{NewMPR(), NewMFP(), NewLDR()} {
+			b.Run(m.Name()+"/"+size.name, func(b *testing.B) {
+				for i := 0; b.Loop(); i++ {
+					od := scaleState.ods[i%len(scaleState.ods)]
+					_, _, _ = m.Mine(size.ds, od[0], od[1], routing.At(i%7, (6+i)%24, 30))
+				}
+			})
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package popular
 
 import (
+	"cmp"
+	"slices"
+
 	"crowdplanner/internal/roadnet"
 	"crowdplanner/internal/routing"
 	"crowdplanner/internal/traj"
@@ -31,48 +34,91 @@ func NewLDR() *LDR {
 // Name implements Miner.
 func (m *LDR) Name() string { return "LDR" }
 
-// Mine implements Miner.
+// Mine implements Miner. The matching trips come from the dataset's
+// aggregate counts by driver and route, so a query costs no more on a
+// larger corpus; the votes are the ones a tally over the individual trips
+// would cast.
 func (m *LDR) Mine(ds *traj.Dataset, from, to roadnet.NodeID, _ routing.SimTime) (roadnet.Route, float64, error) {
 	if err := validateOD(ds.Graph, from, to); err != nil {
 		return roadnet.Route{}, 0, err
 	}
-	trips := ds.TripsBetween(from, to, m.MatchRadius)
-	if len(trips) < m.MinSupport {
+	counts := ds.TripCounts(from, to, m.MatchRadius)
+	total := 0
+	for _, c := range counts {
+		total += c.Trips
+	}
+	if total < m.MinSupport {
 		return roadnet.Route{}, 0, ErrNotEnoughData
 	}
 
-	// Group trips by driver.
-	byDriver := map[traj.DriverID][]roadnet.Route{}
-	for _, tr := range trips {
-		byDriver[tr.Driver] = append(byDriver[tr.Driver], tr.Route)
-	}
-
-	// Each local expert votes with their personal most frequent route.
-	var expertVotes []roadnet.Route
-	//cplint:ordered-irrelevant -- modeRoute's (votes, route-key) argmax is vote-order independent
-	for _, routes := range byDriver {
-		if len(routes) < m.MinDriverTrips {
-			continue
+	// Each local expert votes with their personal most frequent route. The
+	// counts are sorted by driver, so each driver's routes are one run.
+	var experts []routeVotes
+	for i := 0; i < len(counts); {
+		var mine []routeVotes
+		trips := 0
+		for d := counts[i].Driver; i < len(counts) && counts[i].Driver == d; i++ {
+			mine = append(mine, routeVotes{counts[i].Route, counts[i].Trips})
+			trips += counts[i].Trips
 		}
-		personal, _, _ := modeRoute(routes)
-		if !personal.Empty() {
-			expertVotes = append(expertVotes, personal)
+		if trips >= m.MinDriverTrips {
+			experts = append(experts, routeVotes{top(ds, mine).route, 1})
 		}
 	}
-
-	if len(expertVotes) > 0 {
-		route, votes, total := modeRoute(expertVotes)
-		return route, float64(votes) / float64(total), nil
+	if len(experts) > 0 {
+		best := top(ds, merged(experts))
+		return ds.Route(best.route), float64(best.votes) / float64(len(experts)), nil
 	}
 
 	// Fallback: mode over all matching trips.
-	var all []roadnet.Route
-	for _, tr := range trips {
-		all = append(all, tr.Route)
-	}
-	route, votes, total := modeRoute(all)
-	if route.Empty() {
+	if total == 0 {
 		return roadnet.Route{}, 0, ErrNotEnoughData
 	}
-	return route, float64(votes) / float64(total), nil
+	all := make([]routeVotes, len(counts))
+	for i, c := range counts {
+		all[i] = routeVotes{c.Route, c.Trips}
+	}
+	best := top(ds, merged(all))
+	return ds.Route(best.route), float64(best.votes) / float64(total), nil
+}
+
+// routeVotes is a distinct route and the votes (or trips) it drew.
+type routeVotes struct {
+	route traj.RouteID
+	votes int
+}
+
+// merged sums the votes of equal routes, sorting by route ID.
+func merged(rv []routeVotes) []routeVotes {
+	slices.SortFunc(rv, func(a, b routeVotes) int { return cmp.Compare(a.route, b.route) })
+	out := rv[:0]
+	for _, v := range rv {
+		if n := len(out); n > 0 && out[n-1].route == v.route {
+			out[n-1].votes += v.votes
+			continue
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// top returns the route with the most votes among distinct routes, ties
+// going to the smaller Route.String(); the strings are built only for a
+// tie.
+func top(ds *traj.Dataset, rv []routeVotes) routeVotes {
+	best, bestKey := rv[0], ""
+	for _, v := range rv[1:] {
+		switch {
+		case v.votes > best.votes:
+			best, bestKey = v, ""
+		case v.votes == best.votes:
+			if bestKey == "" {
+				bestKey = ds.Route(best.route).String()
+			}
+			if k := ds.Route(v.route).String(); k < bestKey {
+				best, bestKey = v, k
+			}
+		}
+	}
+	return best
 }

@@ -30,25 +30,25 @@ func NewMFP() *MFP { return &MFP{WindowHours: 2, MinBottleneck: 2} }
 func (m *MFP) Name() string { return "MFP" }
 
 // Mine implements Miner. The time-window footmark graph comes from the
-// dataset's per-slot aggregates (only boundary slots are filtered trip by
-// trip).
+// dataset's per-slot counts (only boundary slots are filtered departure by
+// departure).
 func (m *MFP) Mine(ds *traj.Dataset, from, to roadnet.NodeID, t routing.SimTime) (roadnet.Route, float64, error) {
 	if err := validateOD(ds.Graph, from, to); err != nil {
 		return roadnet.Route{}, 0, err
 	}
 	freq := ds.FootmarksNearHour(t.HourOfDay(), m.WindowHours)
-	if len(freq) == 0 {
+	if freq == nil {
 		return roadnet.Route{}, 0, ErrNotEnoughData
 	}
 
-	bottleneck := m.maxBottleneck(freq, from, to)
+	bottleneck := m.maxBottleneck(ds.Graph, freq, from, to)
 	if bottleneck < m.MinBottleneck {
 		return roadnet.Route{}, 0, ErrNotEnoughData
 	}
 
 	// Among paths achieving the optimal bottleneck, prefer the shortest:
 	// Dijkstra by length restricted to edges with freq >= bottleneck.
-	route, err := m.shortestAtLeast(ds.Graph, freq, bottleneck, from, to)
+	route, err := m.shortestAtLeast(ds, freq, bottleneck, from, to)
 	if err != nil {
 		return roadnet.Route{}, 0, err
 	}
@@ -56,13 +56,14 @@ func (m *MFP) Mine(ds *traj.Dataset, from, to roadnet.NodeID, t routing.SimTime)
 }
 
 // maxBottleneck computes the maximum over paths from→to of the minimum edge
-// frequency (a widest-path search). Returns 0 when unreachable.
-func (m *MFP) maxBottleneck(freq map[traj.Transition]int, from, to roadnet.NodeID) int {
-	adj := adjacency(freq)
-	best := map[roadnet.NodeID]int{from: math.MaxInt}
-	done := map[roadnet.NodeID]bool{}
+// frequency (a widest-path search over the road graph's edges with a
+// count). Returns 0 when unreachable. The maximum is one number, so the
+// order the graph lists a node's edges in cannot change it.
+func (m *MFP) maxBottleneck(g *roadnet.Graph, freq []int32, from, to roadnet.NodeID) int {
+	best := make([]int, g.NumNodes()) // 0: unreached (every width is ≥ 1)
+	best[from] = math.MaxInt
+	done := make([]bool, g.NumNodes())
 	pq := &widestQueue{{node: from, width: math.MaxInt}}
-	heap.Init(pq)
 	for pq.Len() > 0 {
 		it := heap.Pop(pq).(widestItem)
 		if done[it.node] {
@@ -72,42 +73,38 @@ func (m *MFP) maxBottleneck(freq map[traj.Transition]int, from, to roadnet.NodeI
 		if it.node == to {
 			return it.width
 		}
-		for _, k := range adj[it.node] {
-			if done[k.To] {
+		for _, e := range g.Out(it.node) {
+			f := int(freq[e])
+			if f == 0 {
 				continue
 			}
-			w := it.width
-			if f := freq[k]; f < w {
-				w = f
+			v := g.Edge(e).To
+			if done[v] {
+				continue
 			}
-			if old, ok := best[k.To]; !ok || w > old {
-				best[k.To] = w
-				heap.Push(pq, widestItem{node: k.To, width: w})
+			if w := min(it.width, f); w > best[v] {
+				best[v] = w
+				heap.Push(pq, widestItem{node: v, width: w})
 			}
 		}
 	}
 	return 0
 }
 
-// shortestAtLeast finds the shortest (by meters) path using only transitions
-// with frequency >= minFreq.
-func (m *MFP) shortestAtLeast(g *roadnet.Graph, freq map[traj.Transition]int, minFreq int, from, to roadnet.NodeID) (roadnet.Route, error) {
-	allowed := map[traj.Transition]bool{}
-	//cplint:ordered-irrelevant -- building a membership set; map-to-map copy has no observable order
-	for k, f := range freq {
-		if f >= minFreq {
-			allowed[k] = true
-		}
-	}
+// shortestAtLeast finds the shortest (by meters) path using only node pairs
+// with frequency >= minFreq (and at least one trip). Every parallel edge of
+// an allowed pair is allowed, since the pair's count sits on its canonical
+// edge.
+func (m *MFP) shortestAtLeast(ds *traj.Dataset, freq []int32, minFreq int, from, to roadnet.NodeID) (roadnet.Route, error) {
 	cost := routing.CostFn(func(e *roadnet.Edge, _ routing.SimTime) float64 {
-		if !allowed[traj.Transition{From: e.From, To: e.To}] {
+		if f := int(freq[ds.CanonicalEdge(e.ID)]); f == 0 || f < minFreq {
 			return math.Inf(1)
 		}
 		return e.Length
 	})
 	// routing.ShortestPath treats +Inf edges as unusable because any path
 	// through them has infinite cost and the destination check rejects it.
-	r, total, err := routing.ShortestPath(g, from, to, cost, 0)
+	r, total, err := routing.ShortestPath(ds.Graph, from, to, cost, 0)
 	if err != nil {
 		return roadnet.Route{}, ErrNotEnoughData
 	}

@@ -3,6 +3,7 @@ package popular
 import (
 	"container/heap"
 	"math"
+	"slices"
 
 	"crowdplanner/internal/roadnet"
 	"crowdplanner/internal/routing"
@@ -57,27 +58,31 @@ func (q *mprQueue) Pop() any {
 	return it
 }
 
-// Mine implements Miner. The transfer network comes straight from the
-// dataset's corpus-wide transition totals (kept current by ingestion).
+// Mine implements Miner. The transfer network is the dataset's corpus-wide
+// footmark counts (kept current by ingestion), searched over the road
+// graph's own adjacency. Only edges with a count are traversed, and a node
+// pair counts on one canonical edge, so each settled node relaxes each
+// successor at most once; the queue's (cost, node) order then fixes the
+// result whatever order the graph lists a node's edges in.
 func (m *MPR) Mine(ds *traj.Dataset, from, to roadnet.NodeID, _ routing.SimTime) (roadnet.Route, float64, error) {
-	if err := validateOD(ds.Graph, from, to); err != nil {
+	g := ds.Graph
+	if err := validateOD(g, from, to); err != nil {
 		return roadnet.Route{}, 0, err
 	}
 	counts, outTotals := ds.TransitionTotals()
-	if outTotals[from] < m.MinTransitions {
+	if int(outTotals[from]) < m.MinTransitions {
 		return roadnet.Route{}, 0, ErrNotEnoughData
 	}
 
-	// Transfer-network adjacency, destination-sorted for determinism.
-	adj := adjacency(counts)
-
 	// Dijkstra over -log(P) on observed transitions only.
-	dist := map[roadnet.NodeID]float64{from: 0}
-	prev := map[roadnet.NodeID]roadnet.NodeID{}
-	done := map[roadnet.NodeID]bool{}
+	dist := make([]float64, g.NumNodes())
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[from] = 0
+	prev := make([]roadnet.NodeID, g.NumNodes())
+	done := make([]bool, g.NumNodes())
 	pq := &mprQueue{{node: from, cost: 0}}
-	heap.Init(pq)
-
 	for pq.Len() > 0 {
 		it := heap.Pop(pq).(mprItem)
 		if done[it.node] {
@@ -87,21 +92,24 @@ func (m *MPR) Mine(ds *traj.Dataset, from, to roadnet.NodeID, _ routing.SimTime)
 		if it.node == to {
 			break
 		}
-		for _, k := range adj[it.node] {
-			if done[k.To] {
+		for _, e := range g.Out(it.node) {
+			c := counts[e]
+			if c == 0 {
 				continue
 			}
-			p := float64(counts[k]) / float64(outTotals[k.From])
-			cost := it.cost - math.Log(p)
-			if old, ok := dist[k.To]; !ok || cost < old {
-				dist[k.To] = cost
-				prev[k.To] = k.From
-				heap.Push(pq, mprItem{node: k.To, cost: cost})
+			v := g.Edge(e).To
+			if done[v] {
+				continue
+			}
+			p := float64(c) / float64(outTotals[it.node])
+			if cost := it.cost - math.Log(p); cost < dist[v] {
+				dist[v] = cost
+				prev[v] = it.node
+				heap.Push(pq, mprItem{node: v, cost: cost})
 			}
 		}
 	}
-	cost, ok := dist[to]
-	if !ok || !done[to] {
+	if !done[to] {
 		return roadnet.Route{}, 0, ErrNotEnoughData
 	}
 	// Reconstruct.
@@ -113,10 +121,7 @@ func (m *MPR) Mine(ds *traj.Dataset, from, to roadnet.NodeID, _ routing.SimTime)
 		}
 		at = prev[at]
 	}
-	nodes := make([]roadnet.NodeID, len(rev))
-	for i, n := range rev {
-		nodes[len(rev)-1-i] = n
-	}
+	slices.Reverse(rev)
 	// Popularity = product of transition probabilities = exp(-cost).
-	return roadnet.Route{Nodes: nodes}, math.Exp(-cost), nil
+	return roadnet.Route{Nodes: rev}, math.Exp(-dist[to]), nil
 }

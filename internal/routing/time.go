@@ -35,11 +35,13 @@ func (t SimTime) Normalize() SimTime {
 	return SimTime(m)
 }
 
-// HourOfDay returns the (fractional) hour of day in [0, 24).
-func (t SimTime) HourOfDay() float64 {
-	n := float64(t.Normalize())
-	return math.Mod(n, MinutesPerDay) / 60
+// MinuteOfDay returns the (fractional) minute of day in [0, 1440).
+func (t SimTime) MinuteOfDay() float64 {
+	return math.Mod(float64(t.Normalize()), MinutesPerDay)
 }
+
+// HourOfDay returns the (fractional) hour of day in [0, 24).
+func (t SimTime) HourOfDay() float64 { return t.MinuteOfDay() / 60 }
 
 // Day returns the day of week, 0=Monday .. 6=Sunday.
 func (t SimTime) Day() int {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -186,5 +187,51 @@ func TestAsyncHTTPExpire(t *testing.T) {
 	r2.Body.Close()
 	if r2.StatusCode != http.StatusConflict {
 		t.Errorf("double expire status = %d", r2.StatusCode)
+	}
+}
+
+// TestV1ClosedTaskRetention: the server remembers the last
+// core.RetainedClosedTasks closed tasks. Of RetainedClosedTasks+10 expired
+// tasks, the oldest 10 are unknown (404 not_found) to GET, answer and
+// expire; the rest still answer GET with their final state and answer and
+// expire with 409 task_closed.
+func TestV1ClosedTaskRetention(t *testing.T) {
+	srv, w, sys := asyncServer(t)
+	trip := w.Data.Trips[4]
+	req := core.Request{From: trip.Route.Source(), To: trip.Route.Dest(), Depart: trip.Depart}
+	var ids []int64
+	for len(ids) < core.RetainedClosedTasks+10 {
+		_, ticket, err := sys.RecommendAsync(context.Background(), req)
+		if err != nil || ticket == nil {
+			t.Fatalf("publish %d: ticket %v, err %v", len(ids), ticket, err)
+		}
+		if _, err := sys.ExpireTask(ticket.ID); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, ticket.ID)
+	}
+	if n := sys.OpenTasks(); n != 0 {
+		t.Fatalf("open tasks = %d, want 0", n)
+	}
+	for i, id := range ids {
+		get, err := http.Get(fmt.Sprintf("%s/v1/tasks/%d", srv.URL, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		answer := postJSON(t, fmt.Sprintf("%s/v1/tasks/%d/answer", srv.URL, id), AnswerRequest{Worker: 1, Yes: true})
+		expire := postJSON(t, fmt.Sprintf("%s/v1/tasks/%d/expire", srv.URL, id), nil)
+		if i < 10 {
+			decodeEnvelope(t, get, http.StatusNotFound, "not_found")
+			decodeEnvelope(t, answer, http.StatusNotFound, "not_found")
+			decodeEnvelope(t, expire, http.StatusNotFound, "not_found")
+			continue
+		}
+		st := decode[TaskStateResponse](t, get)
+		if st.Ticket == nil || st.Ticket.State != "expired" || st.Result == nil || len(st.Result.Route) < 2 ||
+			len(st.Ticket.AssignedWorkers) == 0 || len(st.Result.Candidates) == 0 {
+			t.Fatalf("task %d: GET = %+v", id, st)
+		}
+		decodeEnvelope(t, answer, http.StatusConflict, "task_closed")
+		decodeEnvelope(t, expire, http.StatusConflict, "task_closed")
 	}
 }

@@ -21,13 +21,14 @@ type OD struct {
 // Dataset is a corpus of historical trajectories over one road network,
 // the substitute for the paper's "large-scale real trajectory dataset".
 // Unlike the paper's frozen dataset it can grow at runtime: IngestTrips
-// appends to the corpus and keeps the mining indexes (see index.go) current,
+// adds to the corpus and keeps the mining indexes (see index.go) current,
 // concurrently with miner queries. Construct with NewDataset (or
 // GenerateDataset), which builds the indexes.
 //
-// Direct access to the Trips slice is safe only before serving starts (or on
-// datasets that never ingest); concurrent readers go through NumTrips,
-// TripsBetween and the index query methods, which take the dataset's lock.
+// Trips is the corpus the dataset was constructed with; ingested trips live
+// only in the index, and concurrent readers go through NumTrips,
+// IngestedStream and the index query methods, which take the dataset's
+// lock.
 type Dataset struct {
 	Graph   *roadnet.Graph
 	Drivers []*Driver
@@ -39,25 +40,26 @@ type Dataset struct {
 	// NumODs*TripsPerOD.
 	ODShortfall int
 
-	// ranked is Drivers ordered by rankByID and weights the per-edge bound
-	// weights of the GroundTruth poll; both are fixed at construction.
+	// ranked is Drivers ordered by rankByID, weights the per-edge bound
+	// weights of the GroundTruth poll, and canon each edge's canonical edge
+	// (see CanonicalEdge); all are fixed at construction.
 	ranked  []*Driver
 	weights boundWeights
+	canon   []roadnet.EdgeID
 
 	mu sync.RWMutex
 	//cplint:guardedby mu
 	idx *miningIndex
 	//cplint:guardedby mu
-	base int // trips[:base] = generated world; trips[base:] = ingested
-	// Ingestion-stream bookkeeping: ingSeqs[i] is the durable sequence
-	// number of trips[base+i], and nextSeq the number the next ingested trip
-	// gets. Seqs are NOT derivable from slice position — a crash can lose
-	// the tail of the persisted stream (an absorbed append failure), after
-	// which replay leaves gaps that live ingestion must not re-fill, or a
-	// stale Seq would collide with a retained record and be dropped by the
-	// replay dedupe.
+	base int // trips [0, base) of the index are the constructed corpus, the rest ingested
+	// Ingestion-stream bookkeeping: seqs numbers the ingested trips in
+	// order, and nextSeq is the number the next ingested trip gets. Seqs are
+	// NOT derivable from position — a crash can lose the tail of the
+	// persisted stream (an absorbed append failure), after which replay
+	// leaves gaps that live ingestion must not re-fill, or a stale Seq would
+	// collide with a retained record and be dropped by the replay dedupe.
 	//cplint:guardedby mu
-	ingSeqs []int64
+	seqs []seqRun
 	//cplint:guardedby mu
 	nextSeq int64
 }
@@ -200,15 +202,19 @@ func GenerateDataset(g *roadnet.Graph, drivers []*Driver, cfg DatasetConfig) *Da
 // NewDataset wraps trips as the base corpus over g and builds the mining
 // indexes over them. Trips added later through IngestTrips are the live
 // stream a storage backend persists. The dataset takes ownership of trips.
+// Every hop of every route must be an edge of g — map-matched and
+// generated routes are — or NewDataset panics: the footmark counts are
+// per edge and cannot count a hop that is not one.
 func NewDataset(g *roadnet.Graph, drivers []*Driver, trips []Trajectory) *Dataset {
-	ds := &Dataset{Graph: g, Drivers: drivers, Trips: trips, ranked: rankByID(drivers), weights: newBoundWeights(g)}
+	ds := &Dataset{
+		Graph: g, Drivers: drivers, Trips: trips,
+		ranked: rankByID(drivers), weights: newBoundWeights(g), canon: canonicalEdges(g),
+	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	ds.base = len(trips)
-	ds.idx = newMiningIndex(defaultIndexCellM)
-	for i := range ds.Trips {
-		ds.idx.addTrip(g, i, &ds.Trips[i])
-	}
+	ds.idx = newMiningIndex(g)
+	ds.idx.add(g, trips)
 	return ds
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"crowdplanner/internal/geo"
@@ -199,20 +201,45 @@ func grown(ds *Dataset) *Dataset {
 }
 
 // The linear scans below are the oracles: each index query must return
-// exactly what its scan over ds.Trips returns.
+// exactly what its scan over the full corpus — the constructed trips, then
+// the ingested stream — returns.
 
-func scanTripsBetween(ds *Dataset, from, to roadnet.NodeID, radius float64) []Trajectory {
-	var out []Trajectory
+// Transition is one observed hop between consecutive route nodes, the unit
+// the scans count footmarks in.
+type Transition struct {
+	From, To roadnet.NodeID
+}
+
+// routeTransitions visits the consecutive node pairs of a route.
+func routeTransitions(r roadnet.Route, fn func(t Transition)) {
+	for i := 1; i < len(r.Nodes); i++ {
+		fn(Transition{From: r.Nodes[i-1], To: r.Nodes[i]})
+	}
+}
+
+// allTrips is the full corpus in row order.
+func allTrips(ds *Dataset) []Trajectory {
+	return append(append([]Trajectory(nil), ds.Trips...), ds.IngestedTrips()...)
+}
+
+// tripKey identifies a (driver, route) tally by the route's nodes.
+type tripKey struct {
+	driver DriverID
+	route  string
+}
+
+func scanTripCounts(ds *Dataset, from, to roadnet.NodeID, radius float64) map[tripKey]int {
+	out := map[tripKey]int{}
 	fp := ds.Graph.Node(from).Pt
 	tp := ds.Graph.Node(to).Pt
-	for _, tr := range ds.Trips {
+	for _, tr := range allTrips(ds) {
 		if tr.Route.Empty() {
 			continue
 		}
 		s := ds.Graph.Node(tr.Route.Source()).Pt
 		d := ds.Graph.Node(tr.Route.Dest()).Pt
 		if distOK(s, fp, radius) && distOK(d, tp, radius) {
-			out = append(out, tr)
+			out[tripKey{tr.Driver, tr.Route.String()}]++
 		}
 	}
 	return out
@@ -221,7 +248,7 @@ func scanTripsBetween(ds *Dataset, from, to roadnet.NodeID, radius float64) []Tr
 func scanTransitions(ds *Dataset) (map[Transition]int, map[roadnet.NodeID]int) {
 	counts := map[Transition]int{}
 	out := map[roadnet.NodeID]int{}
-	for _, tr := range ds.Trips {
+	for _, tr := range allTrips(ds) {
 		routeTransitions(tr.Route, func(tn Transition) {
 			counts[tn]++
 			out[tn.From]++
@@ -232,7 +259,7 @@ func scanTransitions(ds *Dataset) (map[Transition]int, map[roadnet.NodeID]int) {
 
 func scanFootmarks(ds *Dataset, hour, window float64) map[Transition]int {
 	freq := map[Transition]int{}
-	for _, tr := range ds.Trips {
+	for _, tr := range allTrips(ds) {
 		if hourDist(tr.Depart.HourOfDay(), hour) > window {
 			continue
 		}
@@ -241,10 +268,46 @@ func scanFootmarks(ds *Dataset, hour, window float64) map[Transition]int {
 	return freq
 }
 
-// TestTripsBetweenIndexedMatchesScan: the endpoint-pair grid must reproduce
-// the linear scan exactly (same trips, same corpus order) across radii,
-// including radius 0 (exact endpoints), on a built and a grown corpus.
-func TestTripsBetweenIndexedMatchesScan(t *testing.T) {
+// footmarkMap turns per-edge counts into the scans' transition map,
+// failing if a count sits on an edge that is not its pair's canonical one.
+func footmarkMap(t *testing.T, ds *Dataset, counts []int32) map[Transition]int {
+	t.Helper()
+	m := map[Transition]int{}
+	for i, c := range counts {
+		if c == 0 {
+			continue
+		}
+		e := roadnet.EdgeID(i)
+		if ds.CanonicalEdge(e) != e {
+			t.Fatalf("edge %d counts %d hops but is not canonical", e, c)
+		}
+		ed := ds.Graph.Edge(e)
+		m[Transition{ed.From, ed.To}] = int(c)
+	}
+	return m
+}
+
+// tripCountMap turns TripCounts' result into the scan's map, failing
+// unless it is sorted by (driver, route) without repeats.
+func tripCountMap(t *testing.T, ds *Dataset, counts []TripCount) map[tripKey]int {
+	t.Helper()
+	m := map[tripKey]int{}
+	for i, c := range counts {
+		if i > 0 {
+			p := counts[i-1]
+			if p.Driver > c.Driver || (p.Driver == c.Driver && p.Route >= c.Route) {
+				t.Fatalf("counts out of order at %d: %+v then %+v", i, p, c)
+			}
+		}
+		m[tripKey{c.Driver, ds.Route(c.Route).String()}] = c.Trips
+	}
+	return m
+}
+
+// TestTripCountsMatchesScan: LDR's aggregate must count exactly the trips
+// the endpoint scan matches, by driver and route, across radii — including
+// radius 0 (exact endpoints) — on a built and a grown corpus.
+func TestTripCountsMatchesScan(t *testing.T) {
 	built := corpus(t, 21)
 	for _, ds := range []*Dataset{built, grown(built)} {
 		rng := rand.New(rand.NewSource(5))
@@ -262,10 +325,10 @@ func TestTripsBetweenIndexedMatchesScan(t *testing.T) {
 				to = roadnet.NodeID(rng.Intn(nn))
 			}
 			radius := []float64{0, 150, 300, 800}[q%4]
-			want := scanTripsBetween(ds, from, to, radius)
-			got := ds.TripsBetween(from, to, radius)
+			want := scanTripCounts(ds, from, to, radius)
+			got := tripCountMap(t, ds, ds.TripCounts(from, to, radius))
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("query %d (%d→%d r=%.0f): indexed %d trips, scan %d", q, from, to, radius, len(got), len(want))
+				t.Fatalf("query %d (%d→%d r=%.0f): aggregate %v, scan %v", q, from, to, radius, got, want)
 			}
 		}
 	}
@@ -277,7 +340,14 @@ func TestTransitionTotalsMatchesScan(t *testing.T) {
 	built := corpus(t, 26)
 	for _, ds := range []*Dataset{built, grown(built)} {
 		wantCounts, wantOut := scanTransitions(ds)
-		gotCounts, gotOut := ds.TransitionTotals()
+		counts, out := ds.TransitionTotals()
+		gotCounts := footmarkMap(t, ds, counts)
+		gotOut := map[roadnet.NodeID]int{}
+		for n, c := range out {
+			if c != 0 {
+				gotOut[roadnet.NodeID(n)] = int(c)
+			}
+		}
 		if !reflect.DeepEqual(gotCounts, wantCounts) || !reflect.DeepEqual(gotOut, wantOut) {
 			t.Fatalf("transition totals: %d transitions / %d nodes, scan %d / %d",
 				len(gotCounts), len(gotOut), len(wantCounts), len(wantOut))
@@ -285,7 +355,7 @@ func TestTransitionTotalsMatchesScan(t *testing.T) {
 	}
 }
 
-// TestFootmarksNearHourMatchesScan: the per-slot aggregate + boundary-filter
+// TestFootmarksNearHourMatchesScan: the per-slot counts + boundary-filter
 // assembly must equal a direct per-trip scan for arbitrary fractional hours
 // and window widths (including degenerate ones), and for departures and
 // query hours sitting exactly on slot and window edges.
@@ -310,12 +380,13 @@ func TestFootmarksNearHourMatchesScan(t *testing.T) {
 			queries = append(queries, query{h, w})
 		}
 	}
-	for _, ds := range []*Dataset{built, grown(built), NewDataset(built.Graph, nil, packed)} {
+	for _, ds := range []*Dataset{built, grown(built), NewDataset(built.Graph, nil, packed), grown(NewDataset(built.Graph, nil, packed))} {
 		for _, q := range queries {
-			got := ds.FootmarksNearHour(q.hour, q.window)
+			freq := ds.FootmarksNearHour(q.hour, q.window)
+			got := footmarkMap(t, ds, freq)
 			want := scanFootmarks(ds, q.hour, q.window)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("hour=%v window=%v: %d transitions vs scan %d", q.hour, q.window, len(got), len(want))
+			if !reflect.DeepEqual(got, want) || (freq == nil) != (len(want) == 0) {
+				t.Fatalf("hour=%v window=%v: %d transitions (nil %v) vs scan %d", q.hour, q.window, len(got), freq == nil, len(want))
 			}
 		}
 	}
@@ -336,8 +407,14 @@ func TestIngestUpdatesIndexes(t *testing.T) {
 	if half.NumTrips() != full.NumTrips() {
 		t.Fatalf("trip counts differ: %d vs %d", half.NumTrips(), full.NumTrips())
 	}
-	if got := len(half.IngestedTrips()); got != len(rest) {
-		t.Fatalf("IngestedTrips = %d, want %d", got, len(rest))
+	if got := half.IngestedTrips(); len(got) != len(rest) {
+		t.Fatalf("IngestedTrips = %d, want %d", len(got), len(rest))
+	} else {
+		for i := range got {
+			if got[i].Driver != rest[i].Driver || got[i].Depart != rest[i].Depart || !got[i].Route.Equal(rest[i].Route) {
+				t.Fatalf("ingested trip %d = %+v, want %+v", i, got[i], rest[i])
+			}
+		}
 	}
 	if got := len(full.IngestedTrips()); got != 0 {
 		t.Fatalf("build-time corpus reported %d ingested trips", got)
@@ -359,10 +436,135 @@ func TestIngestUpdatesIndexes(t *testing.T) {
 		if tr.Route.Empty() {
 			continue
 		}
-		a := full.TripsBetween(tr.Route.Source(), tr.Route.Dest(), 300)
-		b := half.TripsBetween(tr.Route.Source(), tr.Route.Dest(), 300)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("TripsBetween diverges for ingested OD %d→%d", tr.Route.Source(), tr.Route.Dest())
+		a := tripCountMap(t, full, full.TripCounts(tr.Route.Source(), tr.Route.Dest(), 300))
+		b := tripCountMap(t, half, half.TripCounts(tr.Route.Source(), tr.Route.Dest(), 300))
+		if !reflect.DeepEqual(a, b) || len(a) == 0 {
+			t.Fatalf("TripCounts diverges for ingested OD %d→%d: %v vs %v", tr.Route.Source(), tr.Route.Dest(), a, b)
+		}
+	}
+}
+
+// TestIngestCopiesRoutes: the route table copies a route the first time it
+// sees it and hands out copies, so neither the caller's slice nor a
+// returned trip can change the corpus afterwards.
+func TestIngestCopiesRoutes(t *testing.T) {
+	src := corpus(t, 46)
+	ds := NewDataset(src.Graph, nil, nil) // an empty table: the route is new
+	want := src.Trips[0].Route
+	tr := src.Trips[0]
+	tr.Route = want.Clone()
+	ds.IngestTrips([]Trajectory{tr})
+	for i := range tr.Route.Nodes {
+		tr.Route.Nodes[i] = 0
+	}
+	got := ds.IngestedTrips()[0].Route
+	if !got.Equal(want) {
+		t.Fatalf("ingested route changed with the caller's slice: %v, want %v", got, want)
+	}
+	for i := range got.Nodes {
+		got.Nodes[i] = 0
+	}
+	if again := ds.IngestedTrips()[0].Route; !again.Equal(want) {
+		t.Fatalf("ingested route changed with a returned trip: %v, want %v", again, want)
+	}
+}
+
+// TestConcurrentIngestAndQueries: queries running beside ingestion see
+// whole batches. The transfer network a reader takes must total the hops of
+// the corpus after some number of complete batches, and stay that way while
+// the reader keeps using it after the lock is released.
+func TestConcurrentIngestAndQueries(t *testing.T) {
+	ds := corpus(t, 71)
+	rng := rand.New(rand.NewSource(8))
+	hops := func(trips []Trajectory) int64 {
+		n := int64(0)
+		for _, tr := range trips {
+			n += int64(max(len(tr.Route.Nodes)-1, 0))
+		}
+		return n
+	}
+	total := hops(ds.Trips)
+	valid := map[int64]bool{total: true} // hop totals after each whole batch
+	batches := make([][]Trajectory, 60)
+	for b := range batches {
+		for range 10 {
+			tr := ds.Trips[rng.Intn(len(ds.Trips))]
+			tr.Depart += routing.SimTime(rng.Intn(7 * 1440))
+			batches[b] = append(batches[b], tr)
+		}
+		total += hops(batches[b])
+		valid[total] = true
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, b := range batches {
+			ds.IngestTrips(b)
+		}
+	}()
+	for r := range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 100 {
+				counts, _ := ds.TransitionTotals()
+				ds.FootmarksNearHour(float64((i+r)%24), 2)
+				od := ds.Trips[(i*7+r)%len(ds.Trips)].Route
+				ds.TripCounts(od.Source(), od.Dest(), 300)
+				ds.IngestedStream()
+				sum := int64(0)
+				for _, c := range counts {
+					sum += int64(c)
+				}
+				if !valid[sum] {
+					t.Errorf("reader saw %d hops, not the total after any whole batch", sum)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	counts, _ := ds.TransitionTotals()
+	want, _ := scanTransitions(ds)
+	if got := footmarkMap(t, ds, counts); !reflect.DeepEqual(got, want) {
+		t.Fatal("transition totals after concurrent ingestion differ from the scan")
+	}
+}
+
+// TestIngestedStreamExactDepartures: the slot columns keep a departure as
+// a minute of day and a day number; IngestedStream must give back every
+// departure bit for bit, including ones that split does not reproduce
+// (negative, -0, huge, non-finite), which the index keeps whole.
+func TestIngestedStreamExactDepartures(t *testing.T) {
+	ds := corpus(t, 76)
+	departs := []float64{
+		0, math.Copysign(0, -1), 510.123456789, 1e-300, 1439.9999999999998, 1440,
+		10079.999999999998, 10080, 7*1440*1000 + 0.1, 1e15 + 0.5, 1e300,
+		-5, -1e-20, math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	rng := rand.New(rand.NewSource(9))
+	for range 200 {
+		departs = append(departs, rng.Float64()*7*1440*rng.Float64()*100)
+	}
+	var in []Trajectory
+	for i, d := range departs {
+		tr := ds.Trips[i%len(ds.Trips)]
+		tr.Depart = routing.SimTime(d)
+		if i%7 == 0 {
+			tr.Route = roadnet.NewRoute(tr.Route.Source()) // no hop: the pseudo-slot
+		}
+		in = append(in, tr)
+	}
+	ds.IngestTrips(in)
+	got := ds.IngestedTrips()
+	if len(got) != len(in) {
+		t.Fatalf("%d trips back, want %d", len(got), len(in))
+	}
+	for i := range in {
+		if math.Float64bits(float64(got[i].Depart)) != math.Float64bits(float64(in[i].Depart)) ||
+			got[i].Driver != in[i].Driver || !got[i].Route.Equal(in[i].Route) {
+			t.Fatalf("trip %d = %+v, want %+v", i, got[i], in[i])
 		}
 	}
 }
@@ -380,6 +582,9 @@ func TestIngestSeqContiguous(t *testing.T) {
 	}
 	if got := len(ds.IngestedTrips()); got != 3 {
 		t.Fatalf("ingested = %d, want 3", got)
+	}
+	if _, seqs := ds.IngestedStream(); !reflect.DeepEqual(seqs, []int64{0, 1, 2}) {
+		t.Fatalf("seqs = %v, want [0 1 2]", seqs)
 	}
 }
 
@@ -405,6 +610,62 @@ func TestRestoreTripsSeqGap(t *testing.T) {
 			t.Fatalf("seqs = %v, want [1 4 5]", seqs)
 		}
 	}
+}
+
+// TestNewDatasetRejectsNonEdgeHop: the footmark counts are per edge, so a
+// route hop that is not a graph edge is a caller bug NewDataset refuses.
+func TestNewDatasetRejectsNonEdgeHop(t *testing.T) {
+	g := testGraph()
+	var far roadnet.NodeID
+	for n := 1; n < g.NumNodes(); n++ {
+		if _, ok := g.FindEdge(0, roadnet.NodeID(n)); !ok {
+			far = roadnet.NodeID(n)
+			break
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewDataset accepted a hop that is not an edge")
+		}
+	}()
+	NewDataset(g, nil, []Trajectory{{Route: roadnet.NewRoute(0, far)}})
+}
+
+// TestIngestHeapPerTrip: an ingested trip may retain at most 32 bytes of
+// heap — a 16-byte row plus a 12-byte slot-column entry — once its route is
+// in the route table. The trips are shifted copies of the default corpus,
+// ingested in batches of 10 as the serving benchmark sends them.
+func TestIngestHeapPerTrip(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory makes heap sizes meaningless")
+	}
+	src := world(false)
+	ds := NewDataset(src.Graph, src.Drivers, append([]Trajectory(nil), src.Trips...))
+	rng := rand.New(rand.NewSource(3))
+	batch := make([]Trajectory, 10)
+	const n = 200_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range n / len(batch) {
+		for i := range batch {
+			tr := src.Trips[rng.Intn(len(src.Trips))]
+			tr.Depart += routing.SimTime(rng.Intn(7 * 1440))
+			batch[i] = tr
+		}
+		ds.IngestTrips(batch)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if got := ds.NumTrips(); got != len(src.Trips)+n {
+		t.Fatalf("corpus = %d trips, want %d", got, len(src.Trips)+n)
+	}
+	perTrip := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	t.Logf("%.1f B of retained heap per ingested trip", perTrip)
+	if perTrip > 32 {
+		t.Fatalf("ingest retains %.1f B per trip, budget 32 B", perTrip)
+	}
+	runtime.KeepAlive(ds)
 }
 
 func TestHourDistance(t *testing.T) {

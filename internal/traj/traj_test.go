@@ -263,7 +263,7 @@ func TestGenerateDataset(t *testing.T) {
 	}
 }
 
-func TestTripsBetween(t *testing.T) {
+func TestTripCounts(t *testing.T) {
 	g := testGraph()
 	drivers := NewPopulation(g, PopulationConfig{NumDrivers: 20, Seed: 5, FracCommuter: 1})
 	ds := GenerateDataset(g, drivers, DatasetConfig{
@@ -273,13 +273,17 @@ func TestTripsBetween(t *testing.T) {
 		t.Fatal("no trips")
 	}
 	first := ds.Trips[0].Route
-	got := ds.TripsBetween(first.Source(), first.Dest(), 300)
+	got := ds.TripCounts(first.Source(), first.Dest(), 300)
 	if len(got) == 0 {
-		t.Error("TripsBetween should find the generating trips")
+		t.Error("TripCounts should count the generating trips")
 	}
-	for _, tr := range got {
-		if geo.Dist(g.Node(tr.Route.Source()).Pt, g.Node(first.Source()).Pt) > 300 {
-			t.Error("returned trip outside radius")
+	for _, c := range got {
+		if c.Trips <= 0 {
+			t.Errorf("empty count %+v", c)
+		}
+		r := ds.Route(c.Route)
+		if geo.Dist(g.Node(r.Source()).Pt, g.Node(first.Source()).Pt) > 300 {
+			t.Error("counted trip outside radius")
 		}
 	}
 }
