@@ -2,9 +2,9 @@
 // suite (internal/analysis) over the module: determinism of map iteration
 // and of floating-point folds, the no-I/O-under-lock WAL discipline,
 // lock-ordering deadlock freedom, machine-checked //cplint:guardedby field
-// contracts, sync.Pool object lifetimes, goroutine termination signals,
-// allocation-free hot paths, context propagation, wall-clock and global-RNG
-// hygiene, and errors.Is classification of sentinels.
+// contracts, goroutine termination signals, allocation-free hot paths,
+// context propagation, wall-clock and global-RNG hygiene, and errors.Is
+// classification of sentinels.
 //
 // Usage:
 //
@@ -58,12 +58,7 @@ type jsonReport struct {
 	LoadTimings     []jsonTiming `json:"load_timings,omitempty"`
 	AnalyzerTimings []jsonTiming `json:"analyzer_timings,omitempty"`
 	CallGraphMs     int64        `json:"callgraph_ms,omitempty"`
-	// CFGTimings reports, per package, the wall time spent building the
-	// shared control-flow graphs the dataflow analyzers (poolescape,
-	// mutguard, floatdet) run over; CfgMs is their sum.
-	CFGTimings []jsonTiming `json:"cfg_timings,omitempty"`
-	CfgMs      int64        `json:"cfg_ms,omitempty"`
-	TotalMs    int64        `json:"total_ms,omitempty"`
+	TotalMs         int64        `json:"total_ms,omitempty"`
 }
 
 // run is the testable entry point; dir overrides the working directory for
@@ -141,10 +136,6 @@ func run(args []string, stdout, stderr io.Writer, dir string) int {
 				rep.AnalyzerTimings = append(rep.AnalyzerTimings, jsonTiming{Name: t.Name, Ms: t.Duration.Milliseconds()})
 			}
 			rep.CallGraphMs = res.CallGraphTime.Milliseconds()
-			for _, t := range res.CFGTimings {
-				rep.CFGTimings = append(rep.CFGTimings, jsonTiming{Name: t.Name, Ms: t.Duration.Milliseconds()})
-			}
-			rep.CfgMs = res.CFGTime.Milliseconds()
 			rep.TotalMs = time.Since(start).Milliseconds()
 		}
 		enc := json.NewEncoder(stdout)
@@ -179,10 +170,6 @@ func printTimings(w io.Writer, loads []analysis.Timing, res analysis.Result, tot
 		fmt.Fprintf(w, "timing:   %-50s %8s\n", t.Name, t.Duration.Round(time.Millisecond))
 	}
 	fmt.Fprintf(w, "timing: call graph %s\n", res.CallGraphTime.Round(time.Millisecond))
-	fmt.Fprintf(w, "timing: cfg build %s (per package):\n", res.CFGTime.Round(time.Millisecond))
-	for _, t := range res.CFGTimings {
-		fmt.Fprintf(w, "timing:   %-50s %8s\n", t.Name, t.Duration.Round(time.Millisecond))
-	}
 	fmt.Fprintf(w, "timing: analyzers:\n")
 	for _, t := range res.AnalyzerTimings {
 		fmt.Fprintf(w, "timing:   %-12s %8s\n", t.Name, t.Duration.Round(time.Millisecond))

@@ -55,7 +55,7 @@ func TestListExitsZeroAndNamesAllAnalyzers(t *testing.T) {
 	}
 	names := []string{
 		"cplint", "ctxflow", "detorder", "floatdet", "goroleak", "hotalloc",
-		"lockappend", "lockorder", "mutguard", "poolescape", "sentinel", "wallclock",
+		"lockappend", "lockorder", "mutguard", "sentinel", "wallclock",
 	}
 	for _, name := range names {
 		if !strings.Contains(out, name) {
@@ -127,8 +127,6 @@ func TestPartialLoadStillAnalyzes(t *testing.T) {
 // TestTimingFlag checks -timing emits the load/analyzer breakdown without
 // changing the exit code.
 func TestTimingFlag(t *testing.T) {
-	// The package sits on a deterministic internal path so the dataflow tier
-	// (floatdet) builds CFGs for it and the cfg timing section is populated.
 	dir := scratchModule(t, map[string]string{
 		"internal/core/clean.go": "package core\n\nfunc Fine(n int) int { return n + 1 }\n",
 	})
@@ -136,7 +134,7 @@ func TestTimingFlag(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
 	}
-	for _, want := range []string{"timing: total", "timing: load", "timing: call graph", "timing: cfg build", "timing: analyzers:"} {
+	for _, want := range []string{"timing: total", "timing: load", "timing: call graph", "timing: analyzers:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-timing output missing %q:\n%s", want, out)
 		}
@@ -152,11 +150,6 @@ func TestTimingFlag(t *testing.T) {
 	}
 	if len(rep.LoadTimings) == 0 || len(rep.AnalyzerTimings) == 0 {
 		t.Errorf("timing sections empty: %+v", rep)
-	}
-	// The scratch package has function bodies and the dataflow analyzers run
-	// by default, so the shared CFG cache must report per-package build time.
-	if len(rep.CFGTimings) == 0 {
-		t.Errorf("cfg_timings empty under -timing -json: %+v", rep)
 	}
 }
 

@@ -95,39 +95,8 @@ type ModulePass struct {
 	Analyzer *Analyzer
 	Pkgs     []*Package
 	Graph    *CallGraph
-	cfgs     *cfgCache
 	fset     *token.FileSet
 	report   func(Diagnostic)
-}
-
-// CFG returns the control-flow graph for a function body belonging to pkg.
-// Graphs are built on first request and cached across every module analyzer
-// in one Run, so three analyzers walking the same function pay for one
-// construction; build time is attributed to pkg for the -timing report.
-func (p *ModulePass) CFG(pkg *Package, body *ast.BlockStmt) *CFG {
-	return p.cfgs.get(pkg.Path, body)
-}
-
-// cfgCache shares built CFGs across module analyzers and records
-// construction time per package path.
-type cfgCache struct {
-	cfgs    map[*ast.BlockStmt]*CFG
-	timings map[string]time.Duration
-}
-
-func newCFGCache() *cfgCache {
-	return &cfgCache{cfgs: make(map[*ast.BlockStmt]*CFG), timings: make(map[string]time.Duration)}
-}
-
-func (c *cfgCache) get(pkgPath string, body *ast.BlockStmt) *CFG {
-	if cfg, ok := c.cfgs[body]; ok {
-		return cfg
-	}
-	start := time.Now()
-	cfg := NewCFG(body)
-	c.timings[pkgPath] += time.Since(start)
-	c.cfgs[body] = cfg
-	return cfg
 }
 
 // Reportf records a finding at pos.
@@ -155,12 +124,6 @@ type Result struct {
 	// CallGraphTime is the time spent building the shared call graph, zero
 	// when no module analyzer ran.
 	CallGraphTime time.Duration
-	// CFGTimings reports, per package path, the wall time spent building
-	// control-flow graphs (each graph built once, shared across analyzers),
-	// sorted by path. Empty when no analyzer requested a CFG.
-	CFGTimings []Timing
-	// CFGTime is the total CFG construction time across all packages.
-	CFGTime time.Duration
 }
 
 // Timing is one named duration for the -timing report.
@@ -182,13 +145,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer, known []string) Result {
 
 	var res Result
 	var graph *CallGraph
-	var cfgs *cfgCache
 	for _, a := range analyzers {
 		if a.RunModule != nil && graph == nil {
 			start := time.Now()
 			graph = BuildCallGraph(pkgs)
 			res.CallGraphTime = time.Since(start)
-			cfgs = newCFGCache()
 		}
 	}
 	var fset *token.FileSet
@@ -199,24 +160,13 @@ func Run(pkgs []*Package, analyzers []*Analyzer, known []string) Result {
 		start := time.Now()
 		switch {
 		case a.RunModule != nil:
-			a.RunModule(&ModulePass{Analyzer: a, Pkgs: pkgs, Graph: graph, cfgs: cfgs, fset: fset, report: report})
+			a.RunModule(&ModulePass{Analyzer: a, Pkgs: pkgs, Graph: graph, fset: fset, report: report})
 		case a.Run != nil:
 			for _, pkg := range pkgs {
 				a.Run(&Pass{Analyzer: a, Pkg: pkg, report: report})
 			}
 		}
 		res.AnalyzerTimings = append(res.AnalyzerTimings, Timing{Name: a.Name, Duration: time.Since(start)})
-	}
-	if cfgs != nil {
-		paths := make([]string, 0, len(cfgs.timings))
-		for p := range cfgs.timings {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		for _, p := range paths {
-			res.CFGTimings = append(res.CFGTimings, Timing{Name: p, Duration: cfgs.timings[p]})
-			res.CFGTime += cfgs.timings[p]
-		}
 	}
 	sup := applySuppressions(diags, pkgs, known)
 	res.Diagnostics, res.Suppressed = sup.Diagnostics, sup.Suppressed

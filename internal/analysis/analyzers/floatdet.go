@@ -28,11 +28,10 @@ import (
 //     partial[i], merged sequentially afterwards) are the sanctioned shape
 //     and are not flagged.
 //
-// Taint tracking uses the CFG-based def-use chains (dataflow.go) through the
-// shared ModulePass CFG cache, so collect-then-fold across locals is caught,
-// and the collect-SORT-fold idiom is exempt exactly like detorder: any call
-// into package sort (or slices.Sort*) positioned before the fold makes the
-// iteration order visible and pinned.
+// Taint tracking uses the def-use chains of dataflow.go, so collect-then-fold
+// across locals is caught, and the collect-SORT-fold idiom is exempt exactly
+// like detorder: any call into package sort (or slices.Sort*) positioned
+// before the fold makes the iteration order visible and pinned.
 var Floatdet = &analysis.Analyzer{
 	Name:      "floatdet",
 	Doc:       "float folds in deterministic packages must not be fed by randomized map/channel order or merged across goroutines",
@@ -111,8 +110,7 @@ func isMinMaxCall(info *types.Info, call *ast.CallExpr) bool {
 func checkFloatFolds(pass *analysis.ModulePass, n *analysis.CallNode) {
 	info := n.Pkg.Info
 	body := n.Decl.Body
-	cfg := pass.CFG(n.Pkg, body)
-	du := cfg.DefUse(info)
+	du := analysis.NewDefUse(info, body)
 
 	// Sort calls, for the collect-sort-fold exemption.
 	var sortCalls []ast.Node
@@ -150,7 +148,7 @@ func checkFloatFolds(pass *analysis.ModulePass, n *analysis.CallNode) {
 
 	// Shape 1: folds fed by randomized iteration order. Function-literal
 	// interiors are skipped — the go-literal shape below covers the one that
-	// matters, and the top-level CFG does not model literal control flow.
+	// matters, and the def-use index does not look inside literals.
 	ast.Inspect(body, func(node ast.Node) bool {
 		if _, ok := node.(*ast.FuncLit); ok {
 			return false
@@ -164,11 +162,11 @@ func checkFloatFolds(pass *analysis.ModulePass, n *analysis.CallNode) {
 			return true
 		}
 		switch {
-		case du.Tainted(fold.value, nil, isMapDef):
+		case du.Tainted(fold.value, isMapDef):
 			pass.Reportf(stmt.Pos(),
 				"float %s fold into %s is fed by range-over-map values in deterministic package %q: float addition is not associative, so the randomized iteration order changes the rounded result — fold over sorted keys, or accumulate in integers",
 				fold.kind, exprString(fold.acc), internalSegment(n.Pkg.Path))
-		case du.Tainted(fold.value, nil, isChanDef):
+		case du.Tainted(fold.value, isChanDef):
 			pass.Reportf(stmt.Pos(),
 				"float %s fold into %s is fed by channel receives in deterministic package %q: receive order follows goroutine scheduling — collect per-sender partials into indexed slots and fold them sequentially",
 				fold.kind, exprString(fold.acc), internalSegment(n.Pkg.Path))

@@ -568,7 +568,7 @@ func freshLattice(info *types.Info, n *analysis.CallNode) *analysis.AliasLattice
 		}
 		return false
 	}}
-	al.Compute(analysis.NewCFG(n.Decl.Body))
+	al.Compute(n.Decl.Body)
 	return al
 }
 

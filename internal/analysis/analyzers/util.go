@@ -10,11 +10,17 @@
 //	lockorder   — mutex acquisition-order graph must be acyclic (PR 3/PR 6)
 //	goroleak    — goroutines outside main must observe a termination signal
 //	hotalloc    — //cplint:hotpath functions stay allocation-free (PR 5)
+//	mutguard    — //cplint:guardedby fields accessed only under their mutex,
+//	              with held-on-entry inference over the call graph
+//	floatdet    — float folds in deterministic packages not fed by map or
+//	              channel order, nor merged across goroutines
 //	cplint      — well-formedness of the annotations themselves (framework)
 //
-// lockappend, lockorder, goroleak, and hotalloc are interprocedural: they
-// run once per module over the shared static call graph (see
-// analysis.CallGraph) instead of once per package.
+// lockappend, lockorder, goroleak, hotalloc, mutguard, and floatdet run
+// once per module over the shared static call graph (see
+// analysis.CallGraph) instead of once per package; mutguard and floatdet
+// add the flow-insensitive def-use and alias analysis of
+// analysis/dataflow.go.
 package analyzers
 
 import (

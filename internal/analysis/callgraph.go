@@ -347,17 +347,3 @@ func (r *ReachSet) Chain(f *types.Func) string {
 	}
 	return out + " → " + e.desc
 }
-
-// SiteChain renders the chain for a flagged call site: the site's own callee
-// followed by its chain. When the site itself is the hit (direct returns
-// non-empty for it), callers should prefer that description; SiteChain
-// covers the transitive case.
-func (r *ReachSet) SiteChain(site CallSite) (string, bool) {
-	if site.Callee == nil || site.Dynamic {
-		return "", false
-	}
-	if _, ok := r.entries[origin(site.Callee)]; !ok {
-		return "", false
-	}
-	return r.Chain(site.Callee), true
-}

@@ -6,12 +6,14 @@ import (
 	"go/types"
 )
 
-// This file is the dataflow half of the tier: per-block def-use chains
-// (reaching definitions over the CFG, with a taint-style use-def walk) and a
-// conservative local may-alias lattice (the set of variables whose value may
-// be reachable from a root expression via field/index/slice operations).
-// Both are intraprocedural; interprocedural analyzers (poolescape, mutguard)
-// compose them with call-graph summaries.
+// This file is the dataflow tier: def-use chains (every definition of each
+// local variable, with a taint-style use-def walk) and a conservative local
+// may-alias lattice (the set of variables whose value may be reachable from a
+// root expression via field/index/slice operations). Both are
+// intraprocedural and flow-insensitive: they read the function body as one
+// unordered set of definitions and assignments, ignoring statement order and
+// branches. That over-approximates reaching definitions, so a taint or alias
+// answer can only widen relative to a flow-sensitive analysis, never narrow.
 
 // Def is one definition of a variable inside a function body: an assignment,
 // a short declaration, an inc/dec, or a range statement binding its
@@ -27,145 +29,40 @@ type Def struct {
 	Rhs []ast.Expr
 }
 
-// DefUse holds the reaching-definitions solution for one function body.
+// DefUse indexes the definitions of each variable in one function body.
 type DefUse struct {
-	cfg  *CFG
 	info *types.Info
-	// blockDefs lists each block's defs in execution order.
-	blockDefs [][]*Def
-	// in maps, per block, each variable to the defs reaching block entry.
-	in []map[*types.Var][]*Def
+	defs map[*types.Var][]*Def
 }
 
-// DefUse computes reaching definitions over the CFG. Nested function
-// literals are opaque: their interiors neither define nor observe the
-// enclosing function's chains (a capture-and-mutate closure is exactly the
-// kind of site the analyzers flag by other means).
-func (c *CFG) DefUse(info *types.Info) *DefUse {
-	du := &DefUse{cfg: c, info: info}
-	du.blockDefs = make([][]*Def, len(c.Blocks))
-	for _, b := range c.Blocks {
-		for _, n := range b.Nodes {
-			du.blockDefs[b.Index] = append(du.blockDefs[b.Index], collectDefs(info, n)...)
-		}
-	}
-
-	// gen/kill per block: gen is the last def per variable, kill every
-	// variable the block defines.
-	gen := make([]map[*types.Var]*Def, len(c.Blocks))
-	kill := make([]map[*types.Var]bool, len(c.Blocks))
-	for i, defs := range du.blockDefs {
-		gen[i] = make(map[*types.Var]*Def)
-		kill[i] = make(map[*types.Var]bool)
-		for _, d := range defs {
-			gen[i][d.Var] = d
-			kill[i][d.Var] = true
-		}
-	}
-
-	du.in = make([]map[*types.Var][]*Def, len(c.Blocks))
-	out := make([]map[*types.Var][]*Def, len(c.Blocks))
-	for i := range out {
-		du.in[i] = make(map[*types.Var][]*Def)
-		out[i] = make(map[*types.Var][]*Def)
-	}
-	// Union fixpoint, iterating blocks in index order until stable.
-	for changed := true; changed; {
-		changed = false
-		for _, b := range c.Blocks {
-			i := b.Index
-			// in[b] = union of out[pred]; predecessors found via successor
-			// scan (the CFG stores forward edges only).
-			for _, p := range c.Blocks {
-				isPred := false
-				for _, s := range p.Succs {
-					if s == b {
-						isPred = true
-						break
-					}
-				}
-				if !isPred {
-					continue
-				}
-				for v, defs := range out[p.Index] {
-					for _, d := range defs {
-						if !containsDef(du.in[i][v], d) {
-							du.in[i][v] = append(du.in[i][v], d)
-							changed = true
-						}
-					}
-				}
-			}
-			// out[b] = gen[b] ∪ (in[b] − kill[b]).
-			for v, defs := range du.in[i] {
-				if kill[i][v] {
-					continue
-				}
-				for _, d := range defs {
-					if !containsDef(out[i][v], d) {
-						out[i][v] = append(out[i][v], d)
-						changed = true
-					}
-				}
-			}
-			for v, d := range gen[i] {
-				if !containsDef(out[i][v], d) {
-					out[i][v] = append(out[i][v], d)
-					changed = true
-				}
-			}
-		}
+// NewDefUse indexes every definition in body, per variable in source order.
+// Nested function literals are opaque: their interiors neither define nor
+// observe the enclosing function's chains (a capture-and-mutate closure is
+// exactly the kind of site the analyzers flag by other means).
+func NewDefUse(info *types.Info, body *ast.BlockStmt) *DefUse {
+	du := &DefUse{info: info, defs: make(map[*types.Var][]*Def)}
+	for _, d := range collectDefs(info, body) {
+		du.defs[d.Var] = append(du.defs[d.Var], d)
 	}
 	return du
 }
 
-func containsDef(defs []*Def, d *Def) bool {
-	for _, x := range defs {
-		if x == d {
-			return true
-		}
-	}
-	return false
-}
-
-// DefsFor returns the definitions that may reach the given use: defs earlier
-// in the use's own block when present, the block-entry reaching set
-// otherwise. A use with no recorded defs (parameter, package-level variable,
-// captured outer variable) returns nil.
+// DefsFor returns every definition of the variable the use reads, a superset
+// of the definitions that may reach it. A use with no recorded defs
+// (parameter, package-level variable, captured outer variable) returns nil.
 func (du *DefUse) DefsFor(use *ast.Ident) []*Def {
 	v, ok := du.info.Uses[use].(*types.Var)
 	if !ok {
 		return nil
 	}
-	b := du.cfg.BlockOf(use.Pos())
-	if b == nil {
-		return nil
-	}
-	// Scan the block's defs in order; the last def positioned before the
-	// use's enclosing node shadows everything earlier and the in-set.
-	var local *Def
-	for _, d := range du.blockDefs[b.Index] {
-		if d.Var == v && d.Node.Pos() < use.Pos() && !within(use.Pos(), d.Node) {
-			local = d
-		}
-	}
-	if local != nil {
-		return []*Def{local}
-	}
-	return du.in[b.Index][v]
+	return du.defs[v]
 }
 
-// within reports whether pos falls inside node's source span.
-func within(pos token.Pos, node ast.Node) bool {
-	return node.Pos() <= pos && pos <= node.End()
-}
-
-// Tainted reports whether expr's value may derive from a flagged source,
-// walking use-def chains through local variables: srcExpr flags source
-// sub-expressions directly (a map index, a channel receive), srcDef flags
-// defining nodes (a range statement over a map). Either may be nil. The walk
-// is bounded by a visited set over defs, so loop-carried chains terminate.
-func (du *DefUse) Tainted(expr ast.Expr, srcExpr func(ast.Expr) bool, srcDef func(*Def) bool) bool {
+// Tainted reports whether expr's value may derive from a definition src
+// flags (a range statement over a map, say), walking use-def chains through
+// local variables. The walk is bounded by a visited set over defs, so
+// loop-carried chains terminate.
+func (du *DefUse) Tainted(expr ast.Expr, src func(*Def) bool) bool {
 	visited := make(map[*Def]bool)
 	var walkExpr func(e ast.Expr) bool
 	walkExpr = func(e ast.Expr) bool {
@@ -177,10 +74,6 @@ func (du *DefUse) Tainted(expr ast.Expr, srcExpr func(ast.Expr) bool, srcDef fun
 			if _, ok := n.(*ast.FuncLit); ok {
 				return false
 			}
-			if sub, ok := n.(ast.Expr); ok && srcExpr != nil && srcExpr(sub) {
-				found = true
-				return false
-			}
 			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
@@ -190,7 +83,7 @@ func (du *DefUse) Tainted(expr ast.Expr, srcExpr func(ast.Expr) bool, srcDef fun
 					continue
 				}
 				visited[d] = true
-				if srcDef != nil && srcDef(d) {
+				if src(d) {
 					found = true
 					return false
 				}
@@ -208,8 +101,8 @@ func (du *DefUse) Tainted(expr ast.Expr, srcExpr func(ast.Expr) bool, srcDef fun
 	return walkExpr(expr)
 }
 
-// collectDefs extracts the defs one CFG node contributes, in order. Nested
-// function literals are skipped.
+// collectDefs extracts the defs under node in source order. Nested function
+// literals are skipped.
 func collectDefs(info *types.Info, node ast.Node) []*Def {
 	var defs []*Def
 	varOf := func(id *ast.Ident) *types.Var {
@@ -233,15 +126,12 @@ func collectDefs(info *types.Info, node ast.Node) []*Def {
 		case *ast.FuncLit:
 			return false
 		case *ast.RangeStmt:
-			// Only the statement's own bindings; the body belongs to other
-			// blocks (and a RangeStmt node in a block is the head only).
 			if k, ok := x.Key.(*ast.Ident); ok {
 				add(k, x, x.X)
 			}
 			if v, ok := x.Value.(*ast.Ident); ok {
 				add(v, x, x.X)
 			}
-			return false
 		case *ast.AssignStmt:
 			switch {
 			case x.Tok == token.ASSIGN || x.Tok == token.DEFINE:
@@ -281,20 +171,16 @@ func collectDefs(info *types.Info, node ast.Node) []*Def {
 	return defs
 }
 
-// AliasLattice computes, over one CFG, the conservative set of local
+// AliasLattice computes, over one function body, the conservative set of local
 // variables whose value may alias an object rooted at a flagged expression:
 // anything reachable from a root via field selection, indexing, slicing,
 // type assertion, address-taking, or composite-literal embedding. May-alias
 // is a union lattice, iterated to fixpoint, so conditional aliasing counts.
 type AliasLattice struct {
 	Info *types.Info
-	// IsRoot flags root expressions (a sync.Pool Get call, a parameter
-	// identifier, a composite literal — whatever the analysis tracks).
+	// IsRoot flags root expressions (a composite literal, a new() call —
+	// whatever the analysis tracks).
 	IsRoot func(ast.Expr) bool
-	// CallAliases, when non-nil, reports whether a call's results alias,
-	// given a callback testing whether argument expressions do (the hook
-	// interprocedural analyzers feed with callee summaries).
-	CallAliases func(call *ast.CallExpr, argAliases func(ast.Expr) bool) bool
 
 	vars map[*types.Var]bool
 }
@@ -302,29 +188,21 @@ type AliasLattice struct {
 // Vars returns the fixpoint alias set. Valid after Compute.
 func (al *AliasLattice) Vars() map[*types.Var]bool { return al.vars }
 
-// Compute runs the fixpoint over the CFG's blocks.
-func (al *AliasLattice) Compute(c *CFG) {
+// Compute runs the fixpoint over the function body.
+func (al *AliasLattice) Compute(body *ast.BlockStmt) {
 	al.vars = make(map[*types.Var]bool)
-	for changed := true; changed; {
-		changed = false
-		for _, b := range c.Blocks {
-			for _, n := range b.Nodes {
-				if al.transfer(n) {
-					changed = true
-				}
-			}
-		}
+	for al.transfer(body) {
 	}
 }
 
-// transfer applies one node's assignments to the alias set, reporting
+// transfer applies every assignment under node to the alias set, reporting
 // whether the set grew. Function-literal interiors are included: code inside
 // a literal runs with access to the same locals, and a store made there
 // still aliases.
 func (al *AliasLattice) transfer(node ast.Node) bool {
 	changed := false
 	mark := func(v *types.Var) {
-		if v != nil && !al.vars[v] && RefLike(v.Type()) {
+		if v != nil && !al.vars[v] && refLike(v.Type()) {
 			al.vars[v] = true
 			changed = true
 		}
@@ -394,7 +272,7 @@ func (al *AliasLattice) transfer(node ast.Node) bool {
 // Aliases reports whether the expression's value may alias a tracked root:
 // it is a root, an aliased variable, or derived from one through
 // field/index/slice/assert/address operations or a composite literal. Only
-// reference-carrying types can alias (loading a float out of a pooled slab
+// reference-carrying types can alias (loading a float out of a rooted slab
 // yields a plain value).
 func (al *AliasLattice) Aliases(e ast.Expr) bool {
 	if e == nil {
@@ -404,7 +282,7 @@ func (al *AliasLattice) Aliases(e ast.Expr) bool {
 	if al.IsRoot != nil && al.IsRoot(e) {
 		return true
 	}
-	if t := al.Info.TypeOf(e); t != nil && !RefLike(t) {
+	if t := al.Info.TypeOf(e); t != nil && !refLike(t) {
 		return false
 	}
 	switch x := e.(type) {
@@ -433,10 +311,6 @@ func (al *AliasLattice) Aliases(e ast.Expr) bool {
 			if al.Aliases(el) {
 				return true
 			}
-		}
-	case *ast.CallExpr:
-		if al.CallAliases != nil {
-			return al.CallAliases(x, al.Aliases)
 		}
 	}
 	return false
@@ -476,11 +350,11 @@ func BaseIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
-// RefLike reports whether values of t can carry a reference to shared
+// refLike reports whether values of t can carry a reference to shared
 // backing memory: pointers, slices, maps, channels, functions, interfaces,
 // and composites containing one. Plain numerics, strings, and booleans
 // cannot (string bytes are immutable, so sharing them is unobservable).
-func RefLike(t types.Type) bool {
+func refLike(t types.Type) bool {
 	return refLikeDepth(t, 0)
 }
 

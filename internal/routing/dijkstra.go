@@ -86,7 +86,10 @@ func search(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t SimTime,
 // On success the returned node sequence is backed by ws.path: valid until
 // the next search on ws, owned by the workspace. Callers that keep it must
 // copy (search does); callers that consume it immediately (Yen, the batch
-// API) skip the intermediate allocation entirely.
+// API) skip the intermediate allocation entirely. The copies in search and
+// in Yen's materializeRoute are pinned by TestALTConcurrent,
+// TestConcurrentPoolSharing, TestConcurrentSearchesAreIndependent and
+// TestKShortestMatchesReference: each fails if either copy is dropped.
 //
 // The search is bit-identical to the old container/heap engine: the same
 // lazy-deletion queue discipline under the same strict (prio, node) order,
