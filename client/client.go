@@ -641,6 +641,8 @@ type RankedWorker struct {
 }
 
 // TopWorkers ranks the k most eligible workers for the given landmarks.
+// The server takes at most one ID per landmark it has, each in [0, number
+// of landmarks); a longer list or any other ID is a bad_request error.
 func (c *Client) TopWorkers(ctx context.Context, landmarks []int32, k int) ([]RankedWorker, error) {
 	parts := make([]string, len(landmarks))
 	for i, l := range landmarks {

@@ -324,6 +324,10 @@ func (s *System) Config() Config { return s.cfg }
 // what lets the experiments measure whether PMF-based selection finds
 // genuinely knowledgeable workers. Call after batches of crowd work to fold
 // new history into selection.
+//
+// M* is frozen before it is published: its per-landmark worker rankings,
+// which every selection reads, are built here (a few milliseconds on the
+// default world) rather than by the first request that selects workers.
 func (s *System) RefreshFamiliarity() {
 	s.poolMu.RLock()
 	m := worker.BuildMatrix(s.pool, s.landmarks, s.cfg.Familiarity)
@@ -335,6 +339,7 @@ func (s *System) RefreshFamiliarity() {
 		est = worker.Densify(m, model, 0.05)
 	}
 	mstar := worker.Accumulate(est, s.landmarks, s.cfg.Familiarity)
+	mstar.Freeze()
 	s.mu.Lock()
 	s.mstar = mstar
 	s.mtrue = mtrue

@@ -396,19 +396,26 @@ type WorkerInfo struct {
 	Reward float64 `json:"reward"`
 }
 
+// handleTopWorkers ranks workers for a landmark list. The list holds at
+// most one entry per landmark and only IDs of landmarks that exist: the
+// ranking runs under the pool's read lock, so an unbounded list would stall
+// every reward write-back, and through them every new selection.
 func (s *Server) handleTopWorkers(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
+	numLandmarks := s.sys.Landmarks().Len()
 	var lids []landmark.ID
 	for _, part := range strings.Split(q.Get("landmarks"), ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
-		// landmark.ID is int32: an out-of-range ID is rejected rather than
-		// wrapped onto another landmark.
+		if len(lids) == numLandmarks {
+			writeErr(w, r, http.StatusBadRequest, CodeBadRequest, "more than %d landmark ids", numLandmarks)
+			return
+		}
 		n, err := strconv.ParseInt(part, 10, 32)
-		if err != nil {
-			writeErr(w, r, http.StatusBadRequest, CodeBadRequest, "bad landmark id %q", part)
+		if err != nil || n < 0 || n >= int64(numLandmarks) {
+			writeErr(w, r, http.StatusBadRequest, CodeBadRequest, "bad landmark id %q: want 0..%d", part, numLandmarks-1)
 			return
 		}
 		lids = append(lids, landmark.ID(n))

@@ -330,3 +330,31 @@ func TestOutOfRangeIDsRejected(t *testing.T) {
 	decodeEnvelope(t, mustGet(t, s.URL+"/v1/workers/top?landmarks=4294967385"), http.StatusBadRequest, "bad_request")
 	decodeEnvelope(t, mustGet(t, s.URL+"/v1/workers/4294967296/tasks"), http.StatusBadRequest, "bad_request")
 }
+
+// TestTopWorkersLandmarkBound: GET /v1/workers/top takes at most one ID per
+// landmark, and only IDs of landmarks that exist. The ranking runs under the
+// pool's read lock, so an unbounded list would stall reward write-backs.
+func TestTopWorkersLandmarkBound(t *testing.T) {
+	s, w := testServer(t)
+	n := w.Landmarks.Len()
+	every := make([]string, n)
+	for i := range every {
+		every[i] = fmt.Sprint(i)
+	}
+	top := s.URL + "/v1/workers/top?k=3&landmarks="
+
+	// Every landmark once: the longest valid list.
+	resp := mustGet(t, top+strings.Join(every, ","))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%d landmarks: status = %d, want 200", n, resp.StatusCode)
+	}
+	if ws := decode[[]WorkerInfo](t, resp); len(ws) != 3 {
+		t.Errorf("%d landmarks: %d workers, want 3", n, len(ws))
+	}
+	// One ID more is too many, though the ID itself is valid.
+	decodeEnvelope(t, mustGet(t, top+strings.Join(every, ",")+",0"), http.StatusBadRequest, "bad_request")
+	// IDs outside [0, n), alone or after valid ones.
+	for _, q := range []string{"-1", fmt.Sprint(n), "0,1," + fmt.Sprint(n+7)} {
+		decodeEnvelope(t, mustGet(t, top+q), http.StatusBadRequest, "bad_request")
+	}
+}

@@ -1,8 +1,11 @@
 package worker
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"crowdplanner/internal/geo"
 	"crowdplanner/internal/landmark"
@@ -61,50 +64,126 @@ func Score(w *Worker, l *landmark.Landmark, cfg FamiliarityConfig) float64 {
 	return cfg.Alpha*expo + (1-cfg.Alpha)*hist
 }
 
-// Matrix is the (sparse) worker×landmark familiarity matrix M of the paper,
-// with helpers to densify (PMF) and spatially accumulate it.
+// Matrix is the worker×landmark familiarity matrix M of the paper, stored
+// densely: a worker-major value array plus an observed flag per entry. An
+// entry is observed once Set, whatever its value; Get, Each and NonZeros see
+// observed entries only.
+//
+// TopKEligible reads per-landmark rankings: for every landmark, the workers
+// with a positive entry, by value (descending) then worker index. Freeze
+// builds them, once; TopKEligible freezes a matrix on first use. A frozen
+// matrix is read-only, and Set on it panics.
 type Matrix struct {
 	Workers   int
 	Landmarks int
-	vals      map[int64]float64
+	vals      []float64 // vals[w*Landmarks+l]
+	seen      []bool    // whether vals[w*Landmarks+l] is observed
+	nnz       int
+
+	freeze sync.Once
+	frozen bool
+	// Landmark l's ranking is ranked[rankAt[l]:rankAt[l+1]], worker indices.
+	rankAt []int32
+	ranked []int32
 }
 
 // NewMatrix creates an empty matrix of the given shape.
 func NewMatrix(workers, landmarks int) *Matrix {
-	return &Matrix{Workers: workers, Landmarks: landmarks, vals: make(map[int64]float64)}
+	return &Matrix{
+		Workers:   workers,
+		Landmarks: landmarks,
+		vals:      make([]float64, workers*landmarks),
+		seen:      make([]bool, workers*landmarks),
+	}
 }
 
-func key(w, l int) int64 { return int64(w)<<32 | int64(uint32(l)) }
+func (m *Matrix) inRange(w, l int) bool {
+	return w >= 0 && w < m.Workers && l >= 0 && l < m.Landmarks
+}
 
-// Set stores a familiarity value.
+// Set stores a familiarity value. It panics when (w, l) is outside the
+// matrix or the matrix is frozen.
 func (m *Matrix) Set(w, l int, v float64) {
-	m.vals[key(w, l)] = v
+	if !m.inRange(w, l) {
+		panic(fmt.Sprintf("worker: Set(%d, %d) outside a %dx%d matrix", w, l, m.Workers, m.Landmarks))
+	}
+	if m.frozen {
+		panic("worker: Set on a frozen matrix")
+	}
+	i := w*m.Landmarks + l
+	if !m.seen[i] {
+		m.seen[i] = true
+		m.nnz++
+	}
+	m.vals[i] = v
 }
 
-// Get returns the value and whether it is observed.
+// Get returns the value and whether it is observed; (0, false) outside the
+// matrix.
 func (m *Matrix) Get(w, l int) (float64, bool) {
-	v, ok := m.vals[key(w, l)]
-	return v, ok
+	if !m.inRange(w, l) {
+		return 0, false
+	}
+	i := w*m.Landmarks + l
+	return m.vals[i], m.seen[i]
 }
 
 // NonZeros returns the number of observed entries.
-func (m *Matrix) NonZeros() int { return len(m.vals) }
+func (m *Matrix) NonZeros() int { return m.nnz }
 
-// Each iterates over observed entries.
 // Each visits every observed entry in ascending (worker, landmark) order.
 // The deterministic order matters: FitPMF's gradient descent consumes
-// entries in Each order, so map-random iteration would make the fitted
-// factors — and every familiarity-dependent decision downstream — differ
-// from run to run even under a fixed seed.
+// entries in Each order, and float sums are order-sensitive.
 func (m *Matrix) Each(fn func(w, l int, v float64)) {
-	keys := make([]int64, 0, len(m.vals))
-	for k := range m.vals {
-		keys = append(keys, k)
+	for w := 0; w < m.Workers; w++ {
+		row := w * m.Landmarks
+		for l := 0; l < m.Landmarks; l++ {
+			if m.seen[row+l] {
+				fn(w, l, m.vals[row+l])
+			}
+		}
 	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		fn(int(k>>32), int(uint32(k)), m.vals[k])
+}
+
+// Freeze builds the per-landmark rankings TopKEligible reads and makes the
+// matrix read-only. It is idempotent and safe for concurrent use; call it
+// before publishing a matrix so no selection pays for the build.
+func (m *Matrix) Freeze() {
+	m.freeze.Do(func() {
+		m.frozen = true
+		m.rankAt = make([]int32, m.Landmarks+1)
+		m.ranked = make([]int32, 0, m.nnz)
+		type entry struct {
+			v float64
+			w int32
+		}
+		col := make([]entry, 0, m.Workers)
+		for l := 0; l < m.Landmarks; l++ {
+			col = col[:0]
+			for w := 0; w < m.Workers; w++ {
+				if i := w*m.Landmarks + l; m.seen[i] && m.vals[i] > 0 {
+					col = append(col, entry{m.vals[i], int32(w)})
+				}
+			}
+			slices.SortFunc(col, func(a, b entry) int {
+				return cmp.Or(cmp.Compare(b.v, a.v), cmp.Compare(a.w, b.w))
+			})
+			m.rankAt[l] = int32(len(m.ranked))
+			for _, e := range col {
+				m.ranked = append(m.ranked, e.w)
+			}
+		}
+		m.rankAt[m.Landmarks] = int32(len(m.ranked))
+	})
+}
+
+// ranking returns landmark l's ranking, or nil outside the matrix. The
+// matrix must be frozen.
+func (m *Matrix) ranking(l int) []int32 {
+	if l < 0 || l >= m.Landmarks {
+		return nil
 	}
+	return m.ranked[m.rankAt[l]:m.rankAt[l+1]]
 }
 
 // BuildMatrix computes the observed familiarity matrix from worker profiles
@@ -127,7 +206,7 @@ func BuildMatrix(pool *Pool, lms *landmark.Set, cfg FamiliarityConfig) *Matrix {
 				}
 			}
 		}
-		//cplint:ordered-irrelevant -- each unseen landmark is Set once under its own (worker, landmark) key; Matrix.Each iterates sorted
+		//cplint:ordered-irrelevant -- each unseen landmark is Set once at its own (worker, landmark) entry; dense storage makes Set order invisible
 		for lid := range w.History {
 			if !seen[lid] {
 				if l := lms.Get(lid); l != nil {
@@ -169,35 +248,21 @@ func Accumulate(m *Matrix, lms *landmark.Set, cfg FamiliarityConfig) *Matrix {
 		}
 	}
 	out := NewMatrix(m.Workers, m.Landmarks)
-	// Group observed entries per worker for locality.
-	perWorker := make([]map[int]float64, m.Workers)
-	m.Each(func(w, l int, v float64) {
-		if perWorker[w] == nil {
-			perWorker[w] = make(map[int]float64)
-		}
-		perWorker[w][l] = v
-	})
-	for w, obs := range perWorker {
-		if obs == nil {
-			continue
-		}
-		// Sum in ascending landmark order: float addition is not
-		// associative, so map-random order would perturb scores by ULPs
-		// between otherwise identical runs.
-		ls := make([]int, 0, len(obs))
-		for l := range obs {
-			ls = append(ls, l)
-		}
-		slices.Sort(ls)
-		acc := map[int]float64{}
-		for _, l := range ls {
-			// w's knowledge of l radiates to all landmarks near l; or
-			// equivalently, F(w, lj) sums over observed l within range.
+	// F(w, l') sums over w's observed landmarks l within range of l', in
+	// ascending l: float addition is not associative, so the order is part
+	// of the result.
+	acc := make([]float64, m.Landmarks)
+	for w := 0; w < m.Workers; w++ {
+		clear(acc)
+		row := w * m.Landmarks
+		for l := 0; l < m.Landmarks; l++ {
+			if !m.seen[row+l] {
+				continue
+			}
 			for i, nb := range neighbors[l] {
-				acc[nb] += weights[l][i] * obs[l]
+				acc[nb] += weights[l][i] * m.vals[row+l]
 			}
 		}
-		//cplint:ordered-irrelevant -- key-addressed Set per distinct landmark; Matrix.Each iterates sorted
 		for l, v := range acc {
 			if v > 0 {
 				out.Set(w, l, v)

@@ -42,81 +42,75 @@ type Ranked struct {
 //  4. the k workers with the highest summed preference win.
 //
 // The returned slice is ordered by descending score, ties broken by worker
-// ID for determinism.
+// ID for determinism. It is nil when no worker is a candidate.
+//
+// Each landmark's ranking is precomputed (Matrix.Freeze; the first call
+// freezes mstar), so a call costs O(|taskLandmarks| × |workers|) and sorts
+// nothing but its k winners.
 func TopKEligible(pool *Pool, mstar *Matrix, taskLandmarks []landmark.ID, k int, cfg SelectConfig) []Ranked {
 	if k <= 0 || len(taskLandmarks) == 0 {
 		return nil
 	}
-	// Conditions 1 & 2: quota and response time.
-	eligible := make(map[int]bool, pool.Len())
+	mstar.Freeze()
+	// Conditions 1 & 2: quota and response time. The flags also cover any
+	// matrix rows past the end of the pool, which are never eligible.
+	eligible := make([]bool, max(pool.Len(), mstar.Workers))
 	for i, w := range pool.Workers {
-		if cfg.MaxOutstanding > 0 && w.Outstanding >= cfg.MaxOutstanding {
-			continue
-		}
-		if w.ResponseProb(cfg.DeadlineMinutes) < cfg.EtaTime {
-			continue
-		}
-		eligible[i] = true
-	}
-	if len(eligible) == 0 {
-		return nil
+		eligible[i] = (cfg.MaxOutstanding <= 0 || w.Outstanding < cfg.MaxOutstanding) &&
+			w.ResponseProb(cfg.DeadlineMinutes) >= cfg.EtaTime
 	}
 
-	// Condition 3: candidate workers W = ∪_l W_l restricted to eligible.
-	type wf struct {
-		worker int
-		f      float64
-	}
-	perLandmark := make([][]wf, 0, len(taskLandmarks))
-	candidates := map[int]bool{}
+	// Condition 3 and rated voting: each landmark's eligible workers, in
+	// ranking order, get preference 1 − (rank−1)/|W_l|. A worker's score
+	// sums its preferences in task-landmark order, and is positive exactly
+	// when the worker is a candidate.
+	scores := make([]float64, pool.Len())
 	for _, lid := range taskLandmarks {
-		var col []wf
-		for i := range pool.Workers {
-			if !eligible[i] {
-				continue
-			}
-			if f, ok := mstar.Get(i, int(lid)); ok && f > 0 {
-				col = append(col, wf{worker: i, f: f})
-				candidates[i] = true
+		col := mstar.ranking(int(lid))
+		n := 0
+		for _, w := range col {
+			if eligible[w] {
+				n++
 			}
 		}
-		perLandmark = append(perLandmark, col)
+		rank := 0
+		for _, w := range col {
+			if eligible[w] {
+				scores[w] += 1 - float64(rank)/float64(n)
+				rank++
+			}
+		}
 	}
-	if len(candidates) == 0 {
+
+	// Condition 4: keep the k best so far in order, inserting each
+	// candidate that beats the current k-th.
+	better := func(a, b Ranked) bool {
+		if a.Score != b.Score {
+			return a.Score > b.Score
+		}
+		return a.Worker.ID < b.Worker.ID
+	}
+	top := make([]Ranked, 0, min(k, len(scores)))
+	for i, s := range scores {
+		if s <= 0 {
+			continue
+		}
+		r := Ranked{Worker: pool.Workers[i], Score: s}
+		if len(top) < k {
+			top = append(top, r)
+		} else if better(r, top[k-1]) {
+			top[k-1] = r
+		} else {
+			continue
+		}
+		for j := len(top) - 1; j > 0 && better(top[j], top[j-1]); j-- {
+			top[j], top[j-1] = top[j-1], top[j]
+		}
+	}
+	if len(top) == 0 {
 		return nil
 	}
-
-	// Rated voting: each landmark ranks its knowledgeable candidates and
-	// awards preference 1 − (rank−1)/|W_l|.
-	scores := map[int]float64{}
-	for _, col := range perLandmark {
-		sort.Slice(col, func(a, b int) bool {
-			if col[a].f != col[b].f {
-				return col[a].f > col[b].f
-			}
-			return col[a].worker < col[b].worker
-		})
-		n := float64(len(col))
-		for rank, entry := range col {
-			pref := 1 - float64(rank)/n
-			scores[entry.worker] += pref
-		}
-	}
-
-	ranked := make([]Ranked, 0, len(scores))
-	for wi, s := range scores {
-		ranked = append(ranked, Ranked{Worker: pool.Workers[wi], Score: s})
-	}
-	sort.Slice(ranked, func(a, b int) bool {
-		if ranked[a].Score != ranked[b].Score {
-			return ranked[a].Score > ranked[b].Score
-		}
-		return ranked[a].Worker.ID < ranked[b].Worker.ID
-	})
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	return ranked[:k]
+	return top
 }
 
 // SumFamiliarityTopK is the naive alternative the paper argues against

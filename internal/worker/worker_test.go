@@ -1,7 +1,11 @@
 package worker
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"crowdplanner/internal/geo"
@@ -364,5 +368,156 @@ func TestMatrixBasics(t *testing.T) {
 	})
 	if count != 1 {
 		t.Errorf("Each visited %d entries", count)
+	}
+}
+
+// TestMatrixEachOrder: Each visits entries in ascending (worker, landmark)
+// order, whatever order they were Set in. FitPMF's gradient descent
+// consumes entries in Each order, so its factors depend on it.
+func TestMatrixEachOrder(t *testing.T) {
+	const workers, landmarks = 7, 9
+	m := NewMatrix(workers, landmarks)
+	for _, i := range rand.New(rand.NewSource(3)).Perm(workers * landmarks) {
+		if i%3 != 0 {
+			m.Set(i/landmarks, i%landmarks, float64(i))
+		}
+	}
+	prev, n := -1, 0
+	m.Each(func(w, l int, v float64) {
+		i := w*landmarks + l
+		if i <= prev || v != float64(i) {
+			t.Fatalf("Each yielded (%d, %d, %v) after entry %d", w, l, v, prev)
+		}
+		prev = i
+		n++
+	})
+	if n != m.NonZeros() || n != workers*landmarks*2/3 {
+		t.Errorf("Each visited %d entries, NonZeros %d", n, m.NonZeros())
+	}
+}
+
+func TestMatrixGetOutOfRange(t *testing.T) {
+	m := NewMatrix(2, 3)
+	for w := 0; w < 2; w++ {
+		for l := 0; l < 3; l++ {
+			m.Set(w, l, 1)
+		}
+	}
+	// (0, 3) would alias (1, 0) in the dense array without the bounds check.
+	for _, c := range [][2]int{{-1, 0}, {0, -1}, {2, 0}, {0, 3}, {1, 3}, {2, 3}} {
+		if v, ok := m.Get(c[0], c[1]); ok || v != 0 {
+			t.Errorf("Get(%d, %d) = %v, %v; want 0, false", c[0], c[1], v, ok)
+		}
+	}
+}
+
+func TestMatrixSetAgainKeepsNonZeros(t *testing.T) {
+	m := NewMatrix(2, 2)
+	m.Set(1, 0, 0.5)
+	m.Set(1, 0, 0)
+	m.Set(1, 0, 2)
+	if m.NonZeros() != 1 {
+		t.Errorf("NonZeros = %d after setting one entry three times", m.NonZeros())
+	}
+	if v, ok := m.Get(1, 0); !ok || v != 2 {
+		t.Errorf("Get = %v, %v; want the last value", v, ok)
+	}
+}
+
+func TestMatrixSetPanics(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: Set did not panic", name)
+			}
+		}()
+		fn()
+	}
+	m := NewMatrix(2, 3)
+	mustPanic("negative worker", func() { m.Set(-1, 0, 1) })
+	mustPanic("worker past the end", func() { m.Set(2, 0, 1) })
+	mustPanic("landmark past the end", func() { m.Set(0, 3, 1) })
+	m.Set(0, 0, 1)
+	m.Freeze()
+	mustPanic("frozen by Freeze", func() { m.Set(0, 0, 1) })
+
+	pool, fresh, lids := ratedVotingFixture()
+	TopKEligible(pool, fresh, lids, 1, DefaultSelectConfig())
+	mustPanic("frozen by TopKEligible", func() { fresh.Set(1, 1, 1) })
+}
+
+// TestTopKEligibleConcurrentFirstUse: the first selections on a fresh
+// matrix race to build its rankings. Run it under -race.
+func TestTopKEligibleConcurrentFirstUse(t *testing.T) {
+	pool, m := denseWorld(rand.New(rand.NewSource(9)), 60, 30)
+	lids := []landmark.ID{4, 17, 4, 29, 0}
+	cfg := DefaultSelectConfig()
+	want := refTopKEligible(pool, m, lids, 9, cfg)
+	got := make([][]Ranked, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = TopKEligible(pool, m, lids, 9, cfg)
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if !reflect.DeepEqual(got[g], want) {
+			t.Errorf("goroutine %d selected %v, want %v", g, got[g], want)
+		}
+	}
+}
+
+// denseWorld is a pool shaped like the default one (response rates around
+// one answer per 15 minutes, some workers near quota) and a fully observed
+// familiarity matrix, like a PMF-densified M*.
+func denseWorld(rng *rand.Rand, workers, landmarks int) (*Pool, *Matrix) {
+	pool := &Pool{}
+	for i := 0; i < workers; i++ {
+		pool.Workers = append(pool.Workers, &Worker{
+			ID:          ID(i),
+			Lambda:      LogNormalLambda(1.0/15, 0.6, rng.NormFloat64()),
+			Outstanding: rng.Intn(7),
+		})
+	}
+	m := NewMatrix(workers, landmarks)
+	for w := 0; w < workers; w++ {
+		for l := 0; l < landmarks; l++ {
+			m.Set(w, l, rng.Float64())
+		}
+	}
+	return pool, m
+}
+
+// BenchmarkTopKEligible selects 9 workers on the default pool's shape (300
+// workers × 200 landmarks, dense) for tasks of 3 landmarks (the median
+// task) and 5 (the 90th percentile), against the map-and-sort reference.
+func BenchmarkTopKEligible(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	pool, m := denseWorld(rng, 300, 200)
+	m.Freeze()
+	cfg := DefaultSelectConfig()
+	tasks := make([][]landmark.ID, 64)
+	for _, n := range []int{3, 5} {
+		for i := range tasks {
+			tasks[i] = tasks[i][:0]
+			for _, l := range rng.Perm(200)[:n] {
+				tasks[i] = append(tasks[i], landmark.ID(l))
+			}
+		}
+		for _, impl := range []struct {
+			name string
+			fn   func(*Pool, *Matrix, []landmark.ID, int, SelectConfig) []Ranked
+		}{{"rankings", TopKEligible}, {"reference", refTopKEligible}} {
+			b.Run(fmt.Sprintf("landmarks=%d/%s", n, impl.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; b.Loop(); i++ {
+					impl.fn(pool, m, tasks[i%len(tasks)], 9, cfg)
+				}
+			})
+		}
 	}
 }
