@@ -1,42 +1,35 @@
 // Command cpbench regenerates the tables and figures of the reconstructed
-// evaluation (DESIGN.md §4, EXPERIMENTS.md), and doubles as a serving-path
-// throughput harness.
+// evaluation (DESIGN.md §4, EXPERIMENTS.md), and measures the routing engine
+// in isolation across city scales. Serving speed is perfbench's job
+// (python3 perfbench/run.py).
 //
 // Usage:
 //
 //	cpbench -exp all            # every experiment at full scale
 //	cpbench -exp E1,E4 -scale 0.5
 //	cpbench -list
-//	cpbench -parallel 8         # throughput mode: hammer Recommend from 8 goroutines
-//	cpbench -parallel 1 -requests 5000 -cold
-//	cpbench -ingest 100000 -ingest-batch 500  # trajectory-ingestion throughput
-//	cpbench -routing 5000 -routing-grid 16    # routing-engine mode: Dijkstra/A*/k-shortest
+//	cpbench -routing 5000 -routing-grid 16,64 # routing-engine mode: Dijkstra/A*/ALT/k-shortest
 //	cpbench -exp E1 -json BENCH_e1.json       # machine-readable results
-//	cpbench -parallel 8 -json BENCH_tput.json
 //
-// With -json, one result per experiment (or one for the throughput run) is
+// With -json, one result per experiment (or per routing sweep row) is
 // written as a JSON array of {name, runs, ns_per_op, allocs_per_op, extra},
 // so successive runs accumulate a comparable perf trajectory (BENCH_*.json).
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"crowdplanner/internal/core"
 	"crowdplanner/internal/experiments"
 	"crowdplanner/internal/roadnet"
 	"crowdplanner/internal/routing"
-	"crowdplanner/internal/traj"
 )
 
 // BenchResult is one machine-readable benchmark measurement, mirroring the
@@ -54,12 +47,6 @@ func main() {
 		exp         = flag.String("exp", "all", "comma-separated experiment IDs (E1..E10, A1, A2) or 'all'")
 		scale       = flag.Float64("scale", 1.0, "workload scale factor (1 = EXPERIMENTS.md scale)")
 		list        = flag.Bool("list", false, "list available experiments and exit")
-		parallel    = flag.Int("parallel", 0, "throughput mode: serve Recommend from N goroutines instead of running experiments")
-		requests    = flag.Int("requests", 4000, "throughput mode: total requests to issue")
-		cold        = flag.Bool("cold", false, "throughput mode: disable truth reuse (full evaluation every request)")
-		nocache     = flag.Bool("nocache", false, "throughput mode: disable the route cache as well")
-		ingest      = flag.Int("ingest", 0, "ingestion mode: stream N synthetic trips through System.IngestTrips and report trips/sec")
-		ingestBatch = flag.Int("ingest-batch", 100, "ingestion mode: trips per IngestTrips batch")
 		routingN    = flag.Int("routing", 0, "routing mode: run N random-OD queries each through Dijkstra, A* and k-shortest")
 		routingGrid = flag.String("routing-grid", "16", "routing mode: comma-separated city grid sizes (cols = rows), e.g. 16,64,256")
 		routingK    = flag.Int("routing-k", 4, "routing mode: k for the k-shortest sweep")
@@ -81,24 +68,8 @@ func main() {
 			fatal(err)
 		}
 		for _, grid := range grids {
-			res, err := runRouting(*routingN, grid, *routingK, *routingPrep)
-			if err != nil {
-				fatal(err)
-			}
-			results = append(results, res...)
+			results = append(results, runRouting(*routingN, grid, *routingK, *routingPrep)...)
 		}
-	} else if *ingest > 0 {
-		res, err := runIngest(*ingest, *ingestBatch)
-		if err != nil {
-			fatal(err)
-		}
-		results = append(results, res)
-	} else if *parallel > 0 {
-		res, err := runThroughput(*parallel, *requests, *cold, *nocache)
-		if err != nil {
-			fatal(err)
-		}
-		results = append(results, res)
 	} else {
 		var ids []string
 		if *exp != "all" && *exp != "" {
@@ -175,7 +146,7 @@ func writeResults(path string, results []BenchResult) error {
 }
 
 // parseGrids parses the -routing-grid comma list ("16,64,256") into grid
-// sizes, each at least 2.
+// sizes. Every non-empty entry must be a whole number of at least 2.
 func parseGrids(s string) ([]int, error) {
 	var grids []int
 	for _, part := range strings.Split(s, ",") {
@@ -183,12 +154,9 @@ func parseGrids(s string) ([]int, error) {
 		if part == "" {
 			continue
 		}
-		var grid int
-		if _, err := fmt.Sscanf(part, "%d", &grid); err != nil {
-			return nil, fmt.Errorf("bad -routing-grid entry %q: %w", part, err)
-		}
-		if grid < 2 {
-			grid = 2
+		grid, err := strconv.Atoi(part)
+		if err != nil || grid < 2 {
+			return nil, fmt.Errorf("bad -routing-grid entry %q: want a whole number >= 2", part)
 		}
 		grids = append(grids, grid)
 	}
@@ -198,22 +166,18 @@ func parseGrids(s string) ([]int, error) {
 	return grids, nil
 }
 
-// routingBatchTargets is the fan-out of the batched one-to-many benchmark:
-// one op = one search settling this many targets.
-const routingBatchTargets = 16
-
 // runRouting measures the routing engine in isolation at one city scale:
 // `queries` random OD pairs on a grid×grid generated city, swept through
-// plain Dijkstra, goal-directed A*, the ALT landmark tier, the batched
-// one-to-many API (all under the time-dependent travel-time cost at the
-// morning peak) and k-shortest (under distance cost, the heavier Yen
-// workload). Result names carry an @grid suffix, so a comma sweep
-// (-routing-grid 16,64,256) emits a scale trajectory into BENCH_routing.json.
+// plain Dijkstra, goal-directed A* and the ALT landmark tier (all under the
+// time-dependent travel-time cost, at the morning peak and off-peak) and
+// k-shortest (under distance cost, the heavier Yen workload). Result names
+// carry an @grid suffix, so a comma sweep (-routing-grid 16,64,256) emits a
+// scale trajectory into BENCH_routing.json.
 //
 // Query counts scale down with the node count beyond grid 64 (the workload
 // per query grows with the graph), and the Yen sweep caps at grid 256 —
 // k-shortest on a million-node city is out of its workload class.
-func runRouting(queries, grid, k int, prep bool) ([]BenchResult, error) {
+func runRouting(queries, grid, k int, prep bool) []BenchResult {
 	gcfg := roadnet.DefaultGenConfig()
 	gcfg.Cols, gcfg.Rows = grid, grid
 	genStart := time.Now()
@@ -246,15 +210,6 @@ func runRouting(queries, grid, k int, prep bool) ([]BenchResult, error) {
 			}
 		}
 		ods = append(ods, od{src, dst})
-	}
-	// Batched fan-out: per OD, the bucket is the routingBatchTargets nodes
-	// nearest the destination (BFS over out-edges from dst — deterministic),
-	// modelling the engine's real many-to-many shape: scoring one origin
-	// against a cluster of nearby arrival points (truth entries around a
-	// destination), not against targets scattered across the continent.
-	dstBuckets := make([][]roadnet.NodeID, len(ods))
-	for i := range ods {
-		dstBuckets[i] = nearbyNodes(g, ods[i].dst, routingBatchTargets)
 	}
 	peak := routing.At(0, 8, 0) // morning rush: congestion 2-3x free flow
 	// Post-rush evening: free flow for the WHOLE route window. A night
@@ -313,45 +268,26 @@ func runRouting(queries, grid, k int, prep bool) ([]BenchResult, error) {
 		fmt.Printf("  alt speedup  %.1fx vs astar, %.1fx vs dijkstra\n",
 			ast.NsPerOp/alt.NsPerOp, dij.NsPerOp/alt.NsPerOp)
 	}
-	sweep := func(tag string, depart routing.SimTime) (dij, ast, alt BenchResult) {
-		dij = run("dijkstra"+tag, qs, func(i int) {
+	sweep := func(tag string, depart routing.SimTime) {
+		dij := run("dijkstra"+tag, qs, func(i int) {
 			o := ods[i%len(ods)]
 			_, _, _ = routing.ShortestPath(g, o.src, o.dst, routing.TravelTimeCost, depart)
 		})
-		ast = run("astar"+tag, qs, func(i int) {
+		ast := run("astar"+tag, qs, func(i int) {
 			o := ods[i%len(ods)]
 			_, _, _ = routing.AStar(g, o.src, o.dst, routing.TravelTimeCost, depart)
 		})
 		if prepTime != nil {
-			alt = run("alt"+tag, qs, func(i int) {
+			alt := run("alt"+tag, qs, func(i int) {
 				o := ods[i%len(ods)]
 				_, _, _ = prepTime.AStar(o.src, o.dst, depart)
 			})
 			addALT(alt, ast, dij)
 		}
-		return dij, ast, alt
 	}
-	dij, _, alt := sweep("", peak)
-	_, _, _ = sweep("-offpeak", offpeak)
+	sweep("", peak)
+	sweep("-offpeak", offpeak)
 
-	// Batched one-to-many: each op settles a cluster of routingBatchTargets
-	// targets around the destination in one search. speedup_vs_single prices
-	// the alternative: a loop of single-pair searches of the same tier.
-	bq := max(4, qs/4)
-	batch := run("batch", bq, func(i int) {
-		o := ods[i%len(ods)]
-		_, _, _ = routing.ShortestPaths(g, o.src, dstBuckets[i%len(ods)], routing.TravelTimeCost, peak)
-	})
-	batch.Extra["targets"] = routingBatchTargets
-	batch.Extra["speedup_vs_single"] = dij.NsPerOp * routingBatchTargets / batch.NsPerOp
-	if prepTime != nil {
-		balt := run("batch-alt", bq, func(i int) {
-			o := ods[i%len(ods)]
-			_, _, _ = prepTime.ShortestPaths(o.src, dstBuckets[i%len(ods)], peak)
-		})
-		balt.Extra["targets"] = routingBatchTargets
-		balt.Extra["speedup_vs_single"] = alt.NsPerOp * routingBatchTargets / balt.NsPerOp
-	}
 	if grid <= 256 {
 		kq := qs
 		if grid > 64 {
@@ -365,189 +301,9 @@ func runRouting(queries, grid, k int, prep bool) ([]BenchResult, error) {
 	}
 
 	rs := routing.CounterSnapshot()
-	fmt.Printf("  engine     %d searches (%d A*, %d ALT, %d batch), %d heap pushes, pool %d hits / %d misses\n",
+	fmt.Printf("  engine     %d searches (%d A*, %d ALT), %d heap pushes, pool %d hits / %d misses\n",
 		rs.Searches-base.Searches, rs.AStarSearches-base.AStarSearches,
-		rs.ALTSearches-base.ALTSearches, rs.BatchSearches-base.BatchSearches,
+		rs.ALTSearches-base.ALTSearches,
 		rs.HeapPushes-base.HeapPushes, rs.PoolHits-base.PoolHits, rs.PoolMisses-base.PoolMisses)
-	return results, nil
-}
-
-// nearbyNodes collects n nodes around center (inclusive) by breadth-first
-// search over out-edges — a deterministic stand-in for "the arrival points
-// clustered around a destination" that the batched API serves in production.
-func nearbyNodes(g *roadnet.Graph, center roadnet.NodeID, n int) []roadnet.NodeID {
-	out := make([]roadnet.NodeID, 0, n)
-	seen := map[roadnet.NodeID]bool{center: true}
-	queue := []roadnet.NodeID{center}
-	for len(queue) > 0 && len(out) < n {
-		u := queue[0]
-		queue = queue[1:]
-		out = append(out, u)
-		for _, eid := range g.Out(u) {
-			v := g.Edge(eid).To
-			if !seen[v] {
-				seen[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	return out
-}
-
-// runIngest measures trajectory-ingestion throughput: total synthetic trips
-// (replays of corpus routes with jittered departure times) are streamed
-// through System.IngestTrips in fixed-size batches, exercising validation,
-// the incremental mining-index update, route-cache invalidation, and the
-// storage append. A Mine-backed Recommend after the stream confirms the
-// ingested corpus still answers queries at index speed.
-func runIngest(total, batch int) (BenchResult, error) {
-	if batch < 1 {
-		batch = 1
-	}
-	cfg := core.SmallScenarioConfig()
-	fmt.Printf("building scenario (%dx%d city)...\n", cfg.City.Cols, cfg.City.Rows)
-	scn := core.BuildScenario(cfg)
-
-	var pool []traj.Trajectory
-	for _, tr := range scn.Data.Trips {
-		if !tr.Route.Empty() {
-			pool = append(pool, tr)
-		}
-	}
-	if len(pool) == 0 {
-		return BenchResult{}, fmt.Errorf("scenario produced no usable trips")
-	}
-	trips := make([]traj.Trajectory, total)
-	for i := range trips {
-		src := pool[i%len(pool)]
-		trips[i] = traj.Trajectory{
-			Driver: src.Driver,
-			Depart: src.Depart.Add(float64(i%240) - 120), // spread over ±2 h
-			Route:  src.Route,
-		}
-	}
-
-	var accepted, rejected int
-	res := measure(fmt.Sprintf("ingest/batch=%d", batch), total, func() {
-		for off := 0; off < total; off += batch {
-			end := off + batch
-			if end > total {
-				end = total
-			}
-			rep := scn.System.IngestTrips(trips[off:end])
-			accepted += rep.Accepted
-			rejected += len(rep.Rejected)
-		}
-	})
-	elapsed := time.Duration(res.NsPerOp * float64(total))
-	rate := float64(total) / elapsed.Seconds()
-
-	fmt.Printf("\n== ingestion (batch=%d) ==\n", batch)
-	fmt.Printf("  trips      %d (%d accepted, %d rejected)\n", total, accepted, rejected)
-	fmt.Printf("  elapsed    %v\n", elapsed.Round(time.Millisecond))
-	fmt.Printf("  rate       %.0f trips/s\n", rate)
-	fmt.Printf("  corpus     %d trips\n", scn.System.CorpusSize())
-
-	// One full-pipeline query over the grown corpus: the miners answer from
-	// the updated indexes.
-	q := pool[0]
-	start := time.Now()
-	if _, err := scn.System.Recommend(context.Background(), core.Request{
-		From: q.Route.Source(), To: q.Route.Dest(), Depart: q.Depart,
-	}); err != nil {
-		return BenchResult{}, fmt.Errorf("post-ingest recommend: %w", err)
-	}
-	fmt.Printf("  post-ingest recommend  %v\n", time.Since(start).Round(time.Microsecond))
-
-	res.Extra = map[string]float64{
-		"trips_per_sec": rate,
-		"batch":         float64(batch),
-		"accepted":      float64(accepted),
-	}
-	return res, nil
-}
-
-// runThroughput measures end-to-end Recommend throughput over the standard
-// small scenario: `requests` trip-derived requests spread across `workers`
-// goroutines. With -cold, truth reuse is disabled so every request runs the
-// full evaluation (the route cache then absorbs the repeat graph searches;
-// add -nocache to measure the uncached pipeline). Otherwise the run reports
-// the steady-state (truth reuse) serving rate.
-func runThroughput(workers, requests int, cold, nocache bool) (BenchResult, error) {
-	cfg := core.SmallScenarioConfig()
-	if cold {
-		cfg.System.ReuseTruth = false
-	}
-	if nocache {
-		cfg.System.RouteCacheCapacity = 0
-	}
-	fmt.Printf("building scenario (%dx%d city, %d workers)...\n",
-		cfg.City.Cols, cfg.City.Rows, cfg.Workers.NumWorkers)
-	scn := core.BuildScenario(cfg)
-
-	var reqs []core.Request
-	for _, tr := range scn.Data.Trips {
-		if tr.Route.Empty() {
-			continue
-		}
-		reqs = append(reqs, core.Request{
-			From: tr.Route.Source(), To: tr.Route.Dest(), Depart: tr.Depart,
-		})
-	}
-	if len(reqs) == 0 {
-		return BenchResult{}, fmt.Errorf("scenario produced no usable trips")
-	}
-
-	var (
-		next   atomic.Int64
-		errs   atomic.Int64
-		stages [5]atomic.Int64
-		wg     sync.WaitGroup
-	)
-	mode := "warm"
-	if cold {
-		mode = "cold"
-	}
-	res := measure(fmt.Sprintf("throughput/%s/parallel=%d", mode, workers), requests, func() {
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := next.Add(1) - 1
-					if i >= int64(requests) {
-						return
-					}
-					resp, err := scn.System.Recommend(context.Background(), reqs[i%int64(len(reqs))])
-					if err != nil {
-						errs.Add(1)
-						continue
-					}
-					if st := int(resp.Stage); st >= 0 && st < len(stages) {
-						stages[st].Add(1)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	})
-	elapsed := time.Duration(res.NsPerOp * float64(requests))
-
-	fmt.Printf("\n== throughput (%s, parallel=%d) ==\n", mode, workers)
-	fmt.Printf("  requests   %d (%d errors)\n", requests, errs.Load())
-	fmt.Printf("  elapsed    %v\n", elapsed.Round(time.Millisecond))
-	rate := float64(requests) / elapsed.Seconds()
-	fmt.Printf("  rate       %.0f req/s\n", rate)
-	res.Extra = map[string]float64{"rate_rps": rate, "errors": float64(errs.Load())}
-	for st := range stages {
-		if n := stages[st].Load(); n > 0 {
-			fmt.Printf("  stage %-10s %d\n", core.Stage(st), n)
-			res.Extra["stage_"+core.Stage(st).String()] = float64(n)
-		}
-	}
-	cs := scn.System.RouteCacheStats()
-	fmt.Printf("  route cache  hits=%d misses=%d (%.0f%% hit) size=%d/%d evictions=%d invalidations=%d\n",
-		cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Size, cs.Capacity, cs.Evictions, cs.Invalidations)
-	fmt.Printf("  truths       %d\n", scn.System.TruthDB().Len())
-	return res, nil
+	return results
 }

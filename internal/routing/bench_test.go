@@ -81,11 +81,11 @@ func BenchmarkKShortestRef(b *testing.B) {
 	}
 }
 
-// The ALT and batch benchmarks below exercise the preprocessing tier on the
-// same city and OD sweep. On a 16x16 toy grid the landmark bound barely
-// beats the straight-line bound — the scale story lives in cpbench's
-// -routing-grid sweep — but these pin the query-side overhead and give CI a
-// 1x smoke over the prep code paths.
+// The ALT benchmark below exercises the preprocessing tier on the same city
+// and OD sweep. On a 16x16 toy grid the landmark bound barely beats the
+// straight-line bound — the scale story lives in cpbench's -routing-grid
+// sweep — but it pins the query-side overhead and gives CI a 1x smoke over
+// the prep code paths.
 
 func benchPrep(b *testing.B, g *roadnet.Graph) *Preprocessed {
 	b.Helper()
@@ -99,34 +99,5 @@ func BenchmarkALTAStar(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		src, dst := benchODs(g, i)
 		_, _, _ = p.AStar(src, dst, At(0, 8, 0))
-	}
-}
-
-// benchTargets fans each source out to 8 spread-out destinations.
-func benchTargets(g *roadnet.Graph, src roadnet.NodeID) []roadnet.NodeID {
-	n := roadnet.NodeID(g.NumNodes())
-	dsts := make([]roadnet.NodeID, 8)
-	for j := range dsts {
-		dsts[j] = (src + n/2 + roadnet.NodeID(j)*n/16) % n
-	}
-	return dsts
-}
-
-func BenchmarkShortestPaths(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src, _ := benchODs(g, i)
-		_, _, _ = ShortestPaths(g, src, benchTargets(g, src), TravelTimeCost, At(0, 8, 0))
-	}
-}
-
-func BenchmarkALTShortestPaths(b *testing.B) {
-	g := benchGraph(b)
-	p := benchPrep(b, g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src, _ := benchODs(g, i)
-		_, _, _ = p.ShortestPaths(src, benchTargets(g, src), At(0, 8, 0))
 	}
 }

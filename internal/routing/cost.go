@@ -12,7 +12,7 @@ import (
 // callers: it returns a lower bound b, for the given graph, such that
 // Cost(e, t) >= b·dist(e.From, e.To) (straight-line) for every edge and
 // time. Then h(n) = b·dist(n, dst) is an admissible and consistent
-// heuristic and AStar returns the same route as ShortestPath. The built-in
+// heuristic and AStar returns the same cost as ShortestPath. The built-in
 // cost models derive b from the graph's construction-time stats
 // (MaxSpeedKmh, MinLengthRatio), so the bound holds for any graph however
 // it was built — over-limit edges or edges shorter than the crow flies

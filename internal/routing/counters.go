@@ -19,12 +19,6 @@ type Stats struct {
 	// fresh or resized workspaces.
 	PoolHits   uint64 `json:"pool_hits"`
 	PoolMisses uint64 `json:"pool_misses"`
-	// BatchSearches counts batched one-to-many searches (ShortestPaths /
-	// Matrix rows); BatchTargets sums their target-list lengths, so
-	// BatchTargets/BatchSearches is the average fan-out a single search
-	// absorbed.
-	BatchSearches uint64 `json:"batch_searches"`
-	BatchTargets  uint64 `json:"batch_targets"`
 	// PrepBuilds counts landmark preprocessing runs; PrepLandmarks sums
 	// landmarks selected across builds, PrepBuildNs sums build wall-time,
 	// and PrepTableBytes sums the distance-table footprints.
@@ -50,9 +44,6 @@ var counters struct {
 	poolHits   atomic.Uint64
 	poolMisses atomic.Uint64
 
-	batchSearches atomic.Uint64
-	batchTargets  atomic.Uint64
-
 	prepBuilds     atomic.Uint64
 	prepLandmarks  atomic.Uint64
 	prepBuildNs    atomic.Uint64
@@ -73,9 +64,6 @@ func CounterSnapshot() Stats {
 		HeapPushes:     counters.heapPushes.Load(),
 		PoolHits:       counters.poolHits.Load(),
 		PoolMisses:     counters.poolMisses.Load(),
-
-		BatchSearches: counters.batchSearches.Load(),
-		BatchTargets:  counters.batchTargets.Load(),
 
 		PrepBuilds:     counters.prepBuilds.Load(),
 		PrepLandmarks:  counters.prepLandmarks.Load(),

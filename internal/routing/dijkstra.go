@@ -28,10 +28,12 @@ func ShortestPath(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t Si
 	return r, c, err
 }
 
-// AStar returns the same route and cost as ShortestPath but goal-directed:
-// it uses the straight-line distance to dst, scaled by the cost function's
-// MinCostPerMeter lower bound, as an admissible and consistent heuristic.
-// Cost functions without a bound (MinCostPerMeter() == 0) fall back to plain
+// AStar is ShortestPath made goal-directed: it uses the straight-line
+// distance to dst, scaled by the cost function's MinCostPerMeter lower bound,
+// as an admissible and consistent heuristic. It returns the same cost as
+// ShortestPath, and the same route absent exact cost ties between distinct
+// optimal routes, where the heuristic may settle a different one first. Cost
+// functions without a bound (MinCostPerMeter() == 0) fall back to plain
 // Dijkstra, so AStar is always a safe drop-in for ShortestPath. For the
 // tighter landmark-based heuristic, build a Preprocessed wrapper and use its
 // AStar method.
@@ -48,8 +50,8 @@ func AStar(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t SimTime) 
 // lb[v] at most the cost of the cheapest route from v to dst, and lb[u] <=
 // Cost(e, t) + lb[v] for every edge e = (u, v) and time t. Exact distances
 // to dst under static edge weights the cost dominates (DistancesTo) are
-// both; +Inf marks a node with no finite-cost route to dst. The route and
-// cost are then those of ShortestPath.
+// both; +Inf marks a node with no finite-cost route to dst. The cost is then
+// that of ShortestPath, as is the route absent exact cost ties.
 func AStarBounded(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t SimTime, lb []float64) (roadnet.Route, float64, error) {
 	if len(lb) < g.NumNodes() {
 		return roadnet.Route{}, 0, errShortSlice
@@ -85,8 +87,8 @@ func search(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t SimTime,
 //
 // On success the returned node sequence is backed by ws.path: valid until
 // the next search on ws, owned by the workspace. Callers that keep it must
-// copy (search does); callers that consume it immediately (Yen, the batch
-// API) skip the intermediate allocation entirely. The copies in search and
+// copy (search does); callers that consume it immediately (Yen) skip the
+// intermediate allocation entirely. The copies in search and
 // in Yen's materializeRoute are pinned by TestALTConcurrent,
 // TestConcurrentPoolSharing, TestConcurrentSearchesAreIndependent and
 // TestKShortestMatchesReference: each fails if either copy is dropped.
@@ -153,12 +155,12 @@ func searchShared(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t Si
 		}
 		start.prio = h
 	}
-	ws.heapPush(start)
+	ws.heap.push(start)
 	pushes++
 
 	found := false
 	for len(ws.heap) > 0 {
-		u := ws.heapPop().node
+		u := ws.heap.pop().node
 		if ws.done[u] == epoch {
 			continue
 		}
@@ -217,7 +219,7 @@ func searchShared(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t Si
 				}
 				prio += h
 			}
-			ws.heapPush(heapEntry{prio: prio, node: v})
+			ws.heap.push(heapEntry{prio: prio, node: v})
 			pushes++
 		}
 	}

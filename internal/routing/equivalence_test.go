@@ -308,7 +308,7 @@ func TestTravelTimeCacheBitIdentical(t *testing.T) {
 // through the 4-ary value heap and a sorted model, verifying the pop
 // sequence is the sorted order of the strict (prio, node) total order.
 func TestHeapMatchesContainerHeapOrder(t *testing.T) {
-	ws := &searchSpace{}
+	var h minHeap
 	rng := rand.New(rand.NewSource(7))
 	var model []heapEntry
 	popMin := func() heapEntry {
@@ -325,24 +325,24 @@ func TestHeapMatchesContainerHeapOrder(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		for p := rng.Intn(8); p > 0; p-- {
 			e := heapEntry{prio: float64(rng.Intn(50)), node: roadnet.NodeID(rng.Intn(1000))}
-			ws.heapPush(e)
+			h.push(e)
 			model = append(model, e)
 		}
 		for p := rng.Intn(6); p > 0 && len(model) > 0; p-- {
-			got, want := ws.heapPop(), popMin()
+			got, want := h.pop(), popMin()
 			if got != want {
 				t.Fatalf("round %d: pop %v, want %v", round, got, want)
 			}
 		}
 	}
 	for len(model) > 0 {
-		got, want := ws.heapPop(), popMin()
+		got, want := h.pop(), popMin()
 		if got != want {
 			t.Fatalf("drain: pop %v, want %v", got, want)
 		}
 	}
-	if len(ws.heap) != 0 {
-		t.Fatalf("heap not drained: %d left", len(ws.heap))
+	if len(h) != 0 {
+		t.Fatalf("heap not drained: %d left", len(h))
 	}
 }
 

@@ -28,37 +28,42 @@ func entryLess(a, b heapEntry) bool {
 	return a.node < b.node
 }
 
-// heapPush inserts e. The heap is 4-ary: shallower than a binary heap (fewer
-// levels to sift through on push, the dominant operation in Dijkstra) with
-// all four children adjacent in one cache line pair. The append lands in the
-// workspace's pooled backing array, which amortizes to zero growth.
+// minHeap is the engine's one priority queue, held by the query workspace
+// (searchSpace) and by the preprocessing sweeps (metricSearch) alike. It is
+// 4-ary: shallower than a binary heap (fewer levels to sift through on push,
+// the dominant operation in Dijkstra) with all four children adjacent in one
+// cache line pair.
+type minHeap []heapEntry
+
+// push inserts e.
 //
 //cplint:hotpath
-func (ws *searchSpace) heapPush(e heapEntry) {
-	h := append(ws.heap, e)
-	i := len(h) - 1
+func (h *minHeap) push(e heapEntry) {
+	//cplint:ignore hotalloc -- sanctioned: every minHeap lives in a reused owner (a pooled searchSpace, or a metricSearch kept across a build's sweeps) that empties it by length, so growth amortizes to zero steady-state allocations
+	s := append(*h, e)
+	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !entryLess(e, h[p]) {
+		if !entryLess(e, s[p]) {
 			break
 		}
-		h[i] = h[p]
+		s[i] = s[p]
 		i = p
 	}
-	h[i] = e
-	ws.heap = h
+	s[i] = e
+	*h = s
 }
 
-// heapPop removes and returns the minimum entry.
+// pop removes and returns the minimum entry. The heap must not be empty.
 //
 //cplint:hotpath
-func (ws *searchSpace) heapPop() heapEntry {
-	h := ws.heap
-	top := h[0]
-	last := h[len(h)-1]
-	h = h[:len(h)-1]
-	ws.heap = h
-	if n := len(h); n > 0 {
+func (h *minHeap) pop() heapEntry {
+	s := *h
+	top := s[0]
+	last := s[len(s)-1]
+	s = s[:len(s)-1]
+	*h = s
+	if n := len(s); n > 0 {
 		i := 0
 		for {
 			c := i*4 + 1
@@ -66,22 +71,19 @@ func (ws *searchSpace) heapPop() heapEntry {
 				break
 			}
 			m := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
+			end := min(c+4, n)
 			for j := c + 1; j < end; j++ {
-				if entryLess(h[j], h[m]) {
+				if entryLess(s[j], s[m]) {
 					m = j
 				}
 			}
-			if !entryLess(h[m], last) {
+			if !entryLess(s[m], last) {
 				break
 			}
-			h[i] = h[m]
+			s[i] = s[m]
 			i = m
 		}
-		h[i] = last
+		s[i] = last
 	}
 	return top
 }

@@ -17,7 +17,8 @@ import (
 // query time the triangle inequality turns those tables into a goal-directed
 // heuristic that is much tighter than the straight-line bound, while staying
 // admissible and consistent — so ALT-accelerated searches return the same
-// routes as plain Dijkstra, just after settling far fewer nodes.
+// costs as plain Dijkstra (and the same routes, absent exact cost ties), just
+// after settling far fewer nodes.
 //
 // Admissibility argument. Let w(e) be the lower-bound weight of edge e:
 // w(e) <= Cost(e, t) for every departure time t (free flow, no congestion).
@@ -35,8 +36,9 @@ import (
 // admissible; each term is of the form f(v) + const or -f(v) + const for a
 // shortest-path potential f, so the max is also consistent. Consistent
 // heuristics settle nodes with final distances at pop under the engine's
-// strict (prio, node) order, which is what keeps ALT routes identical to
-// Dijkstra's.
+// strict (prio, node) order, which is what keeps ALT costs identical to
+// Dijkstra's, and its routes too absent exact cost ties between distinct
+// optimal routes.
 
 // PrepConfig controls landmark preprocessing.
 type PrepConfig struct {
@@ -108,12 +110,6 @@ func (p *Preprocessed) Stats() PrepStats {
 		TableBytes: int64(len(p.fwd)+len(p.rev)) * 8,
 	}
 }
-
-// Landmarks returns the selected landmark nodes (do not modify).
-func (p *Preprocessed) Landmarks() []roadnet.NodeID { return p.lands }
-
-// Graph returns the underlying graph.
-func (p *Preprocessed) Graph() *roadnet.Graph { return p.g }
 
 // Preprocess builds ALT landmark tables for g under cost. Selection is
 // farthest-point: the first landmark is the node farthest from node 0 under
@@ -266,15 +262,16 @@ func DistancesTo(g *roadnet.Graph, w []float64, dst roadnet.NodeID, dist []float
 
 // metricSearch is the self-contained one-to-all Dijkstra used during
 // preprocessing. It runs on precomputed edge weights (no CostFunc calls, no
-// time dependence) and owns its scratch, so reverse rows can build in
-// parallel without touching the query workspace pool.
+// time dependence) on the query engine's minHeap, and owns its scratch, so
+// reverse rows can build in parallel without touching the query workspace
+// pool.
 type metricSearch struct {
 	done []bool
-	heap []heapEntry
+	heap minHeap
 }
 
 func newMetricSearch(n int) *metricSearch {
-	return &metricSearch{done: make([]bool, n), heap: make([]heapEntry, 0, 1024)}
+	return &metricSearch{done: make([]bool, n), heap: make(minHeap, 0, 1024)}
 }
 
 // oneToAll fills dist with shortest-path distances from src under w (+Inf
@@ -291,13 +288,10 @@ func (ms *metricSearch) oneToAll(g *roadnet.Graph, w []float64, src roadnet.Node
 	for i := range ms.done {
 		ms.done[i] = false
 	}
-	h := ms.heap[:0]
 	dist[src] = 0
-	h = metricPush(h, heapEntry{node: src})
-	for len(h) > 0 {
-		var top heapEntry
-		top, h = metricPop(h)
-		u := top.node
+	ms.heap.push(heapEntry{node: src})
+	for len(ms.heap) > 0 {
+		u := ms.heap.pop().node
 		if ms.done[u] {
 			continue
 		}
@@ -319,62 +313,10 @@ func (ms *metricSearch) oneToAll(g *roadnet.Graph, w []float64, src roadnet.Node
 			nd := du + w[eid]
 			if nd < dist[v] {
 				dist[v] = nd
-				h = metricPush(h, heapEntry{prio: nd, node: v})
+				ms.heap.push(heapEntry{prio: nd, node: v})
 			}
 		}
 	}
-	ms.heap = h[:0]
-}
-
-// metricPush / metricPop are the same 4-ary value heap as the query engine,
-// operating on a caller-owned slice (preprocessing runs outside the pooled
-// workspaces).
-//
-//cplint:hotpath
-func metricPush(h []heapEntry, e heapEntry) []heapEntry {
-	//cplint:ignore hotalloc -- sanctioned: the backing array is ms.heap, preallocated to 1024 and reused across every sweep of a build, so growth amortizes to zero steady-state allocations
-	h = append(h, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !entryLess(e, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = e
-	return h
-}
-
-//cplint:hotpath
-func metricPop(h []heapEntry) (heapEntry, []heapEntry) {
-	top := h[0]
-	last := h[len(h)-1]
-	h = h[:len(h)-1]
-	if n := len(h); n > 0 {
-		i := 0
-		for {
-			c := i*4 + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := min(c+4, n)
-			for j := c + 1; j < end; j++ {
-				if entryLess(h[j], h[m]) {
-					m = j
-				}
-			}
-			if !entryLess(h[m], last) {
-				break
-			}
-			h[i] = h[m]
-			i = m
-		}
-		h[i] = last
-	}
-	return top, h
 }
 
 // activate selects the query's active landmarks: the p.active landmarks with
@@ -449,21 +391,16 @@ func (p *Preprocessed) altBound(ws *searchSpace, v roadnet.NodeID, straight floa
 	return best
 }
 
-// AStar returns the same route and cost as the package-level AStar, using
-// the landmark tables for a tighter (still admissible and consistent)
-// heuristic. Safe for concurrent use.
+// AStar is the package-level AStar with the landmark tables added to its
+// heuristic, which stays admissible and consistent: it returns the same
+// cost, and the same route absent exact cost ties between distinct optimal
+// routes (a tighter heuristic may settle a different one of them first).
+// Safe for concurrent use.
 func (p *Preprocessed) AStar(src, dst roadnet.NodeID, t SimTime) (roadnet.Route, float64, error) {
 	ws := acquireSpace(p.g)
 	r, c, err := search(p.g, src, dst, p.cost, t, p.mcpm, ws, false, p, nil)
 	releaseSpace(ws)
 	return r, c, err
-}
-
-// ShortestPath is an alias for AStar: with an admissible heuristic the two
-// return identical results, so the preprocessed tier always goes
-// goal-directed.
-func (p *Preprocessed) ShortestPath(src, dst roadnet.NodeID, t SimTime) (roadnet.Route, float64, error) {
-	return p.AStar(src, dst, t)
 }
 
 // KShortest mirrors the package-level KShortest with every spur search

@@ -255,6 +255,80 @@ func TestKShortestEdgeCases(t *testing.T) {
 	}
 }
 
+// TestKShortestParallelEdges pins Yen on graphs with parallel edges, where a
+// hop's first u→v edge is not the only one and not always the cheapest. A
+// spur must ban every edge of an accepted route's next hop, or it re-finds
+// that route over a parallel edge and the routes behind it are never
+// generated (graph A). A root hop must be priced on its cheapest edge, the
+// one the search takes (graph B).
+func TestKShortestParallelEdges(t *testing.T) {
+	type want struct {
+		route []roadnet.NodeID
+		cost  float64
+	}
+	check := func(name string, g *roadnet.Graph, src, dst roadnet.NodeID, k int, wants []want) {
+		t.Helper()
+		p := Preprocess(g, DistanceCost, PrepConfig{Landmarks: 2, Active: 2})
+		for _, tier := range []struct {
+			name string
+			run  func() ([]roadnet.Route, []float64, error)
+		}{
+			{"plain", func() ([]roadnet.Route, []float64, error) { return KShortest(g, src, dst, k, DistanceCost, 0) }},
+			{"alt", func() ([]roadnet.Route, []float64, error) { return p.KShortest(src, dst, k, 0) }},
+		} {
+			routes, costs, err := tier.run()
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, tier.name, err)
+			}
+			if len(routes) != len(wants) {
+				t.Fatalf("%s %s: %d routes %v, want %d", name, tier.name, len(routes), routes, len(wants))
+			}
+			for i, w := range wants {
+				if !routes[i].Equal(roadnet.NewRoute(w.route...)) || costs[i] != w.cost {
+					t.Errorf("%s %s route %d = %v cost %v, want %v cost %v",
+						name, tier.name, i, routes[i], costs[i], w.route, w.cost)
+				}
+			}
+		}
+	}
+
+	// Graph A: two parallel 1→2 edges on the shortest route.
+	a := roadnet.NewGraph(5, 7)
+	a.AddNode(geo.Point{X: 0})          // 0
+	a.AddNode(geo.Point{X: 900})        // 1
+	a.AddNode(geo.Point{X: 1800})       // 2
+	a.AddNode(geo.Point{X: 1800, Y: 5}) // 3
+	a.AddNode(geo.Point{X: 2700})       // 4
+	a.AddEdge(0, 1, roadnet.Local, 0, 0, 1000)
+	a.AddEdge(1, 2, roadnet.Local, 0, 0, 1000)
+	a.AddEdge(1, 2, roadnet.Local, 0, 0, 1000)
+	a.AddEdge(1, 3, roadnet.Local, 0, 0, 1001)
+	a.AddEdge(2, 4, roadnet.Local, 0, 0, 1000)
+	a.AddEdge(3, 4, roadnet.Local, 0, 0, 1000)
+	a.AddEdge(3, 2, roadnet.Local, 0, 0, 10)
+	check("A", a, 0, 4, 3, []want{
+		{[]roadnet.NodeID{0, 1, 2, 4}, 3000},
+		{[]roadnet.NodeID{0, 1, 3, 4}, 3001},
+		{[]roadnet.NodeID{0, 1, 3, 2, 4}, 3011},
+	})
+
+	// Graph B: the first 0→1 edge is ten times longer than its parallel.
+	b := roadnet.NewGraph(4, 5)
+	b.AddNode(geo.Point{X: 0})   // 0
+	b.AddNode(geo.Point{X: 100}) // 1
+	b.AddNode(geo.Point{X: 400}) // 2
+	b.AddNode(geo.Point{X: 800}) // 3
+	b.AddEdge(0, 1, roadnet.Local, 0, 0, 1000)
+	b.AddEdge(0, 1, roadnet.Local, 0, 0, 100)
+	b.AddEdge(1, 3, roadnet.Local, 0, 0, 1000)
+	b.AddEdge(1, 2, roadnet.Local, 0, 0, 400)
+	b.AddEdge(2, 3, roadnet.Local, 0, 0, 500)
+	check("B", b, 0, 3, 2, []want{
+		{[]roadnet.NodeID{0, 1, 2, 3}, 1000},
+		{[]roadnet.NodeID{0, 1, 3}, 1100},
+	})
+}
+
 func TestShortestPathDeterministic(t *testing.T) {
 	cfg := roadnet.DefaultGenConfig()
 	cfg.Cols, cfg.Rows = 10, 10

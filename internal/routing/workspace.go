@@ -3,14 +3,13 @@ package routing
 import (
 	"sync"
 
-	"crowdplanner/internal/geo"
 	"crowdplanner/internal/roadnet"
 )
 
 // maxActiveLandmarks caps the per-query active landmark set. Eight covers
 // the useful tightness range — beyond that the extra max() terms cost more
 // per relaxed edge than they save in popped nodes — and a fixed cap lets the
-// single-target state live inline in the workspace with zero allocations.
+// per-query ALT state live inline in the workspace with zero allocations.
 const maxActiveLandmarks = 8
 
 // searchSpace is the reusable scratch state of one graph search: the
@@ -32,7 +31,7 @@ type searchSpace struct {
 	prev []roadnet.NodeID
 	seen []uint32
 	done []uint32
-	heap []heapEntry
+	heap minHeap
 
 	epoch uint32
 
@@ -47,11 +46,6 @@ type searchSpace struct {
 	// intermediate allocation.
 	path []roadnet.NodeID
 
-	// targ marks the still-relevant targets of a multi-target (batched)
-	// search, epoch-stamped like seen/done: targ[v] == epoch means v is a
-	// destination the current batch search must settle.
-	targ []uint32
-
 	// hseen/hval memoize the heuristic per node within one search. ALT
 	// bounds cost a handful of random loads from large landmark tables per
 	// evaluation, and grid nodes are re-improved by several incoming edges;
@@ -59,25 +53,15 @@ type searchSpace struct {
 	hseen []uint32
 	hval  []float64
 
-	// ALT single-target state: the per-query active landmarks (indices
-	// into the Preprocessed slabs) with their forward/reverse distances at
-	// the destination, filled by Preprocessed.activate. altHsrc is the
+	// ALT state: the per-query active landmarks (indices into the
+	// Preprocessed slabs) with their forward/reverse distances at the
+	// destination, filled by Preprocessed.activate. altHsrc is the
 	// heuristic value at the source, kept for the bound-tightness counter.
 	altN     int
 	altHsrc  float64
 	altLands [maxActiveLandmarks]int32
 	altFdst  [maxActiveLandmarks]float64
 	altRdst  [maxActiveLandmarks]float64
-
-	// Multi-target ALT state (batched searches): per-target active
-	// landmark rows and destination distances, maxActiveLandmarks entries
-	// per target, plus the target points for the straight-line term. All
-	// grown in place and recycled with the workspace.
-	mtN     []int32
-	mtLands []int32
-	mtFdst  []float64
-	mtRdst  []float64
-	mtPts   []geo.Point
 }
 
 // wsPool recycles searchSpaces across searches and goroutines. Workspaces
@@ -118,7 +102,6 @@ func (ws *searchSpace) ensure(nodes, edges int) {
 		ws.seen = make([]uint32, nodes)
 		ws.done = make([]uint32, nodes)
 		ws.banNode = make([]uint32, nodes)
-		ws.targ = make([]uint32, nodes)
 		ws.hseen = make([]uint32, nodes)
 		ws.hval = make([]float64, nodes)
 	}
@@ -136,7 +119,6 @@ func (ws *searchSpace) beginSearch() uint32 {
 	if ws.epoch == 0 { // wraparound: clear for real, then skip the zero epoch
 		clear(ws.seen)
 		clear(ws.done)
-		clear(ws.targ)
 		clear(ws.hseen)
 		ws.epoch = 1
 	}

@@ -7,10 +7,17 @@ import (
 	"crowdplanner/internal/roadnet"
 )
 
-// KShortest returns up to k loopless minimum-cost routes from src to dst in
-// increasing cost order, using Yen's algorithm with Lawler's optimization.
-// It returns ErrNoRoute when not even one route exists. The routes are
-// distinct node sequences.
+// KShortest returns up to k loopless routes from src to dst, using Yen's
+// algorithm with Lawler's optimization. It returns ErrNoRoute when not even
+// one route exists. The routes are distinct node sequences; a hop between
+// nodes joined by parallel edges is priced on the cheapest of them.
+//
+// The first route and its cost are AStar's. Each later route is a root
+// prefix of an accepted route, priced along the route from t, plus a spur
+// search priced as if departing at t. For a time-independent cost such as
+// DistanceCost the routes are therefore the k cheapest loopless routes in
+// increasing cost order. Under a time-dependent cost such as TravelTimeCost
+// the reported costs are approximations and need not increase.
 //
 // Lawler's optimization: when the i-th accepted route deviated from its
 // parent at index d, spurring it at any index below d would reproduce
@@ -19,7 +26,10 @@ import (
 // accepted — and that route is itself re-spurred there). Skipping those
 // indices turns O(L) spur searches per round into O(L - d) while generating
 // the exact same candidate pool round for round, so the output — routes and
-// costs both — is bit-identical to unoptimized Yen.
+// costs both — is that of unoptimized Yen over the same searches. Against a
+// Yen whose spur searches are plain Dijkstra the output is bit-identical
+// only absent exact cost ties, because these spur searches are
+// goal-directed and may settle a different one of two tied routes.
 func KShortest(g *roadnet.Graph, src, dst roadnet.NodeID, k int, cost CostFunc, t SimTime) ([]roadnet.Route, []float64, error) {
 	return kShortest(g, src, dst, k, cost, t, nil)
 }
@@ -77,11 +87,14 @@ func kShortest(g *roadnet.Graph, src, dst roadnet.NodeID, k int, cost CostFunc, 
 
 			ws.resetBans()
 			// Ban edges that would recreate an already-found route sharing
-			// this root.
+			// this root: every edge of its next hop, since a parallel edge
+			// left open would let the spur re-find the same node sequence.
 			for _, r := range routes {
 				if len(r.Nodes) > i+1 && equalPrefix(r.Nodes, rootNodes) {
-					if eid, ok := g.FindEdge(r.Nodes[i], r.Nodes[i+1]); ok {
-						ws.banE(eid)
+					for _, eid := range g.Out(r.Nodes[i]) {
+						if g.Edge(eid).To == r.Nodes[i+1] {
+							ws.banE(eid)
+						}
 					}
 				}
 			}
@@ -103,9 +116,10 @@ func kShortest(g *roadnet.Graph, src, dst roadnet.NodeID, k int, cost CostFunc, 
 			if !added {
 				continue
 			}
-			// Cost of root prefix plus spur. The prefix is priced under the
-			// same departure time; for time-dependent costs this is an
-			// approximation, consistent with how Yen is normally applied.
+			// Cost of root prefix plus spur. The spur is priced as if
+			// departing at t, not at t+prefix[i]; for time-dependent costs
+			// this is an approximation, consistent with how Yen is normally
+			// applied.
 			ys.pushCand(yenCand{cost: prefix[i] + spurCost, off: off, ln: ln, dev: int32(i)})
 		}
 		if len(ys.cands) == 0 {
@@ -129,13 +143,14 @@ func materializeRoute(nodes []roadnet.NodeID) roadnet.Route {
 
 // rootCosts returns prefix costs along nodes: out[i] is the cost of the path
 // nodes[0..i] (i edges), accumulated under the same clock-advance rule the
-// old per-index prefixCost used. broken is the index of the first node pair
-// with no connecting edge (len(nodes)-1 when the whole chain exists): a spur
-// index i > broken has a root whose cost cannot be computed, and its
-// candidates must be dropped — the old engine silently priced such roots as
-// if the missing edges were free, underpricing the candidate. buf, when
-// large enough, is reused as the output's backing array (Yen passes its
-// pooled prefix buffer; pass nil for a fresh slice).
+// old per-index prefixCost used, each hop on its cheapest edge at the hop's
+// departure time (the edge a search takes). broken is the index of the first
+// node pair with no connecting edge (len(nodes)-1 when the whole chain
+// exists): a spur index i > broken has a root whose cost cannot be
+// computed, and its candidates must be dropped — the old engine silently
+// priced such roots as if the missing edges were free, underpricing the
+// candidate. buf, when large enough, is reused as the output's backing
+// array (Yen passes its pooled prefix buffer; pass nil for a fresh slice).
 func rootCosts(g *roadnet.Graph, nodes []roadnet.NodeID, cost CostFunc, t SimTime, buf []float64) (out []float64, broken int) {
 	if cap(buf) < len(nodes) {
 		buf = make([]float64, len(nodes))
@@ -145,15 +160,28 @@ func rootCosts(g *roadnet.Graph, nodes []roadnet.NodeID, cost CostFunc, t SimTim
 	broken = len(nodes) - 1
 	var total float64
 	for i := 1; i < len(nodes); i++ {
-		eid, ok := g.FindEdge(nodes[i-1], nodes[i])
+		c, ok := hopCost(g, nodes[i-1], nodes[i], cost, t.Add(total))
 		if !ok {
 			broken = i - 1
 			return out[:i], broken
 		}
-		total += cost.Cost(g.Edge(eid), t.Add(total))
+		total += c
 		out[i] = total
 	}
 	return out, broken
+}
+
+// hopCost returns the cost at time t of the cheapest u→v edge; ok is false
+// when no edge joins u to v.
+func hopCost(g *roadnet.Graph, u, v roadnet.NodeID, cost CostFunc, t SimTime) (c float64, ok bool) {
+	for _, eid := range g.Out(u) {
+		if e := g.Edge(eid); e.To == v {
+			if ec := cost.Cost(e, t); !ok || ec < c {
+				c, ok = ec, true
+			}
+		}
+	}
+	return c, ok
 }
 
 func equalPrefix(nodes, prefix []roadnet.NodeID) bool {
