@@ -55,7 +55,7 @@ func TestListExitsZeroAndNamesAllAnalyzers(t *testing.T) {
 	}
 	names := []string{
 		"cplint", "ctxflow", "detorder", "floatdet", "goroleak", "hotalloc",
-		"lockappend", "lockorder", "mutguard", "sentinel", "wallclock",
+		"locks", "sentinel", "wallclock",
 	}
 	for _, name := range names {
 		if !strings.Contains(out, name) {

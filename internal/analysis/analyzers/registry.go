@@ -23,7 +23,7 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Annotations, Ctxflow, Detorder,
 		Floatdet, Goroleak, Hotalloc,
-		Lockappend, Lockorder, Mutguard, Sentinel, Wallclock,
+		Locks, Sentinel, Wallclock,
 	}
 }
 

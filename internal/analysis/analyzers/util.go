@@ -2,24 +2,23 @@
 // Each analyzer mechanizes one invariant an earlier PR established by hand:
 //
 //	detorder    — sorted iteration in deterministic packages (PR 1/PR 4)
-//	lockappend  — no storage/file/network I/O reachable under core mutexes,
-//	              module-wide over the call graph (PR 3)
+//	locks       — the serving core's lock contracts on one held-region
+//	              model: no storage/file/network I/O reachable under a
+//	              mutex, an acyclic acquisition order (DESIGN §6, §8), and
+//	              //cplint:guardedby fields accessed only under their
+//	              mutex, with held-on-entry inference over the call graph
 //	ctxflow     — context.Context propagation through request paths (PR 2)
 //	wallclock   — no wall clock / global RNG in deterministic packages (PR 1)
 //	sentinel    — sentinel errors compared with errors.Is, not == (PR 2)
-//	lockorder   — mutex acquisition-order graph must be acyclic (PR 3/PR 6)
 //	goroleak    — goroutines outside main must observe a termination signal
 //	hotalloc    — //cplint:hotpath functions stay allocation-free (PR 5)
-//	mutguard    — //cplint:guardedby fields accessed only under their mutex,
-//	              with held-on-entry inference over the call graph
 //	floatdet    — float folds in deterministic packages not fed by map or
 //	              channel order, nor merged across goroutines
 //	cplint      — well-formedness of the annotations themselves (framework)
 //
-// lockappend, lockorder, goroleak, hotalloc, mutguard, and floatdet run
-// once per module over the shared static call graph (see
-// analysis.CallGraph) instead of once per package; mutguard and floatdet
-// add the flow-insensitive def-use and alias analysis of
+// locks, goroleak, hotalloc, and floatdet run once per module over the
+// shared static call graph (see analysis.CallGraph) instead of once per
+// package; locks and floatdet add the flow-insensitive def-use chains of
 // analysis/dataflow.go.
 package analyzers
 

@@ -9,11 +9,12 @@ import (
 
 // This file is the interprocedural layer: a module-wide static call graph
 // over the type-checked package set, with reachability and path-reporting
-// utilities. Module-level analyzers (lockappend, lockorder, goroleak,
-// hotalloc) use it to prove cross-package invariants a per-package pass
-// cannot see — a mutex-held region in core that reaches a WAL append three
-// packages away, a lock-order cycle split across files, a goroutine whose
-// cancellation signal is observed only inside a helper package.
+// utilities, and the reverse edges (Callers) that held-on-entry inference
+// walks. Module-level analyzers (locks, goroleak, hotalloc, floatdet) use it
+// to prove cross-package invariants a per-package pass cannot see — a
+// mutex-held region in core that reaches a WAL append three packages away, a
+// lock-order cycle split across files, a goroutine whose cancellation signal
+// is observed only inside a helper package.
 //
 // Resolution model. Edges exist for statically resolvable calls only:
 // package-level functions, and method calls whose receiver's static type is
@@ -22,7 +23,7 @@ import (
 // through interface values and function values get conservative unknown-
 // callee sites (Dynamic): the graph records that *something* is called there
 // but refuses to guess what. Analyzers choose per invariant whether an
-// unknown callee is safe (lockappend: not expanded, documented gap) or a
+// unknown callee is safe (locks: not expanded, documented gap) or a
 // finding (goroleak: an unprovable goroutine is a leak until shown
 // otherwise). Generic functions are keyed by their origin object, so calls
 // to different instantiations meet at one node.
@@ -66,13 +67,13 @@ type CallGraph struct {
 	order []*CallNode
 	// callers is the reverse adjacency: for each node, the call sites that
 	// target it (caller resolved via site bookkeeping below).
-	callers map[*types.Func][]callerRef
+	callers map[*types.Func][]Caller
 }
 
-// callerRef is one reverse edge: caller invokes the target at Site.
-type callerRef struct {
-	caller *types.Func
-	site   CallSite
+// Caller is one reverse edge: Func invokes the target at Site.
+type Caller struct {
+	Func *types.Func
+	Site CallSite
 }
 
 // BuildCallGraph constructs the call graph for the given packages. The
@@ -82,7 +83,7 @@ type callerRef struct {
 func BuildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{
 		nodes:   make(map[*types.Func]*CallNode),
-		callers: make(map[*types.Func][]callerRef),
+		callers: make(map[*types.Func][]Caller),
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -113,7 +114,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 			}
 			if _, ok := g.nodes[site.Callee]; ok {
 				g.callers[site.Callee] = append(g.callers[site.Callee],
-					callerRef{caller: n.Func, site: site})
+					Caller{Func: n.Func, Site: site})
 			}
 		}
 	}
@@ -222,6 +223,11 @@ func (g *CallGraph) Node(f *types.Func) *CallNode {
 // Nodes returns every node in deterministic (declaration position) order.
 func (g *CallGraph) Nodes() []*CallNode { return g.order }
 
+// Callers returns the statically resolved call sites outside nested function
+// literals that target f, in declaration order of the caller, then source
+// order.
+func (g *CallGraph) Callers(f *types.Func) []Caller { return g.callers[origin(f)] }
+
 // FuncDisplay renders a function for call-chain output: "core.Recommend",
 // "diskstore.Store.append", "traj.IngestTrips".
 func FuncDisplay(f *types.Func) string {
@@ -295,13 +301,13 @@ func (g *CallGraph) Reach(direct func(CallSite) string, through func(*types.Func
 		var next []*types.Func
 		for _, f := range frontier {
 			for _, ref := range g.callers[f] {
-				if _, seen := rs.entries[ref.caller]; seen || !traverse(ref.caller) {
+				if _, seen := rs.entries[ref.Func]; seen || !traverse(ref.Func) {
 					continue
 				}
-				rs.entries[ref.caller] = reachEntry{
-					desc: rs.entries[f].desc, next: ref.site, dist: dist,
+				rs.entries[ref.Func] = reachEntry{
+					desc: rs.entries[f].desc, next: ref.Site, dist: dist,
 				}
-				next = append(next, ref.caller)
+				next = append(next, ref.Func)
 			}
 		}
 		// The per-level order influences nothing (every entry at one level

@@ -175,88 +175,3 @@ func findBasicLit(root ast.Node, val string) ast.Expr {
 	})
 	return found
 }
-
-func TestAliasLatticeDerivation(t *testing.T) {
-	src := `package p
-type ws struct {
-	path []int
-	dist []float64
-}
-func get() *ws { return &ws{} }
-func f() []int {
-	w := get()
-	p := w.path
-	q := p[1:]
-	fresh := make([]int, len(q))
-	copy(fresh, q)
-	d := w.dist[0]
-	_ = d
-	return fresh
-}`
-	body, info, posOf := parseTyped(t, src, "f")
-	al := &AliasLattice{
-		Info: info,
-		IsRoot: func(e ast.Expr) bool {
-			call, ok := e.(*ast.CallExpr)
-			if !ok {
-				return false
-			}
-			id, ok := call.Fun.(*ast.Ident)
-			return ok && id.Name == "get"
-		},
-	}
-	al.Compute(body)
-
-	varAt := func(marker string) *types.Var {
-		id := identAt(t, body, posOf(marker))
-		return identVar(info, id)
-	}
-	if !al.Vars()[varAt("w := get()")] {
-		t.Fatalf("root-assigned variable not in alias set")
-	}
-	if !al.Vars()[varAt("p := w.path")] {
-		t.Fatalf("field-derived slice not in alias set")
-	}
-	if !al.Vars()[varAt("q := p[1:]")] {
-		t.Fatalf("re-sliced alias not in alias set")
-	}
-	if al.Vars()[varAt("fresh := make")] {
-		t.Fatalf("freshly made+copied slice wrongly in alias set")
-	}
-	if al.Vars()[varAt("d := w.dist[0]")] {
-		t.Fatalf("scalar loaded from aliased slab wrongly in alias set")
-	}
-	// Expression-level checks.
-	retExpr := identAt(t, body, posOf("fresh\n}"))
-	if al.Aliases(retExpr) {
-		t.Fatalf("returning the fresh copy must not count as aliasing")
-	}
-}
-
-func TestAliasLatticeStoreIntoLocal(t *testing.T) {
-	src := `package p
-type box struct{ s []int }
-func get() []int { return nil }
-func f() *box {
-	b := &box{}
-	b.s = get()
-	return b
-}`
-	body, info, posOf := parseTyped(t, src, "f")
-	al := &AliasLattice{
-		Info: info,
-		IsRoot: func(e ast.Expr) bool {
-			call, ok := e.(*ast.CallExpr)
-			if !ok {
-				return false
-			}
-			id, ok := call.Fun.(*ast.Ident)
-			return ok && id.Name == "get"
-		},
-	}
-	al.Compute(body)
-	b := identVar(info, identAt(t, body, posOf("b := &box{}")))
-	if !al.Vars()[b] {
-		t.Fatalf("local holding a stored alias (b.s = root) not in alias set")
-	}
-}

@@ -80,7 +80,7 @@ func parseAnnotations(pkg *Package, known []string) (sups []suppression, malform
 					continue
 				case strings.HasPrefix(directive, "cplint:guardedby") && reason == "" && !hasReason:
 					// Not a suppression: declares the mutex guarding a struct
-					// field (see the mutguard analyzer, which validates the
+					// field (see the locks analyzer, which validates the
 					// spelling, placement, and mutex resolution).
 					continue
 				case directive == "cplint:ordered-irrelevant":

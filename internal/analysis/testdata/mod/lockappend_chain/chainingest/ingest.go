@@ -1,6 +1,6 @@
 // Package chainingest is the middle hop of the cross-package chain fixture:
 // it neither locks nor does I/O itself, it just forwards to the store — the
-// hop a per-package lockappend could never see through.
+// hop a per-package check could never see through.
 package chainingest
 
 import "crowdplanner/internal/store/chainwal"

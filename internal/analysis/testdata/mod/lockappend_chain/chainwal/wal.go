@@ -8,7 +8,7 @@ type Log struct {
 }
 
 // Append records one entry. Checked under a store path, so its name makes it
-// a direct I/O hit for lockappend and its interior is exempt.
+// a direct I/O hit for the locks analyzer and its interior is exempt.
 func (l *Log) Append(rec []byte) error {
 	l.records = append(l.records, rec)
 	return nil

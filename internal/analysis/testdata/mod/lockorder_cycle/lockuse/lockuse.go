@@ -1,5 +1,5 @@
 // Package lockuse acquires the lockpair mutexes in both orders — the
-// two-mutex cycle the lockorder analyzer must catch — plus a re-acquisition
+// two-mutex cycle the locks analyzer must catch — plus a re-acquisition
 // self-deadlock through a helper call.
 package lockuse
 
@@ -8,7 +8,7 @@ import "crowdplanner/internal/core/lockpair"
 // LockAB nests A before B directly.
 func LockAB(a *lockpair.A, b *lockpair.B) {
 	a.Mu.Lock()
-	b.Mu.Lock() // want "potential deadlock: lock-order cycle lockpair.A.Mu → lockpair.B.Mu → lockpair.A.Mu"
+	b.Mu.Lock() // want "^potential deadlock: lock-order cycle lockpair\.A\.Mu → lockpair\.B\.Mu → lockpair\.A\.Mu — lockuse\.LockAB acquires lockpair\.B\.Mu at lockuse\.go:11 while holding lockpair\.A\.Mu \(line 10\); lockuse\.LockBA → lockpair\.GrabA acquires lockpair\.A\.Mu at lockuse\.go:21 while holding lockpair\.B\.Mu \(line 20\); two goroutines entering from different ends block forever \(pick one global order and document it\)$"
 	b.N++
 	b.Mu.Unlock()
 	a.Mu.Unlock()

@@ -1,6 +1,6 @@
-// Package guarduse exercises mutguard across package boundaries: the
-// guarded fields and their mutex live in package guarded, the lock regions
-// and the violation live here.
+// Package guarduse exercises the guarded-field check across package
+// boundaries: the guarded fields and their mutex live in package guarded,
+// the lock regions and the violation live here.
 package guarduse
 
 import (

@@ -1,4 +1,4 @@
-// Package lockappendfixture exercises the lockappend analyzer. It imports
+// Package lockappendfixture exercises the locks analyzer's I/O check. It imports
 // the real storage interfaces so calls into the store layer resolve to the
 // package the analyzer scopes on.
 package lockappendfixture
@@ -79,7 +79,7 @@ func (s *sys) litEscapesRegion(rec store.TruthRecord) error {
 func (s *sys) annotated(rec store.TruthRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	//cplint:ignore lockappend -- fixture: single-owner mutex never contended on the serving path
+	//cplint:ignore locks -- fixture: single-owner mutex never contended on the serving path
 	return s.st.AppendTruth(rec)
 }
 

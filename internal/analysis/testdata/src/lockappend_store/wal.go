@@ -1,4 +1,4 @@
-// Package storefixture holds lockappend-shaped code and is checked under
+// Package storefixture holds I/O-under-a-lock code and is checked under
 // the store import path: the storage layer legitimately serializes its own
 // file writes under its append mutex, so the analyzer must stay silent and
 // this file carries no want comments.

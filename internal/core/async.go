@@ -238,14 +238,6 @@ func (s *System) resolveTraditional(ctx context.Context, req Request) (*Response
 			Confidence: bestConf, Candidates: cands,
 		}, nil, nil
 	}
-	// The crowd will decide; optionally fold each source's historical
-	// precision into the priors (future work §VI) so reliable providers
-	// start ahead in the question tree and the consensus fallback.
-	if s.cfg.UseSourceReliability {
-		for i := range cands {
-			cands[i].Prior += s.reliance.precision(cands[i].Source)
-		}
-	}
 	return nil, cands, nil
 }
 

@@ -112,13 +112,6 @@ type Config struct {
 	// OracleSample bounds how many drivers the population oracle polls.
 	OracleSample int
 
-	// UseSourceReliability enables the paper's future-work extension
-	// (§VI, "quality control of popular route mining algorithms"): track
-	// each provider's historical precision and fold it into candidate
-	// priors. Off by default so the canonical experiment numbers match
-	// EXPERIMENTS.md.
-	UseSourceReliability bool
-
 	// Store is the storage backend for the system's mutable state: verified
 	// truths, worker rewards/answer histories, and pending async crowd
 	// tasks. Commits are logged to it as they happen. nil keeps the
@@ -465,9 +458,16 @@ func (s *System) generateCandidates(ctx context.Context, req Request) ([]task.Ca
 			return nil, err
 		}
 
+		// One critical section: join the key's flight, or start it.
 		s.flightMu.Lock()
-		if f, ok := s.flights[key]; ok {
-			s.flightMu.Unlock()
+		f, follower := s.flights[key]
+		if !follower {
+			f = &flight{done: make(chan struct{})}
+			s.flights[key] = f
+		}
+		s.flightMu.Unlock()
+
+		if follower {
 			s.coalesced.Add(1)
 			select {
 			case <-f.done:
@@ -481,9 +481,6 @@ func (s *System) generateCandidates(ctx context.Context, req Request) ([]task.Ca
 			copy(out, f.cands)
 			return out, nil
 		}
-		f := &flight{done: make(chan struct{})}
-		s.flights[key] = f
-		s.flightMu.Unlock()
 
 		f.cands, f.err = s.computeCandidates(ctx, req, key)
 		s.flightMu.Lock()

@@ -14,9 +14,7 @@ import (
 // control logic: every time a request is resolved with high confidence
 // (agreement, confidence gate, or crowd), each candidate source is credited
 // with a win or a loss depending on whether its proposal matched the
-// verified route. The running per-source precision can then boost candidate
-// priors (Config.UseSourceReliability), giving historically reliable miners
-// a head start in the question tree and in TR confidence scoring.
+// verified route. The scoreboard is served on GET /v1/sources.
 
 // SourceStats is the running scoreboard of one candidate source.
 type SourceStats struct {
@@ -34,7 +32,8 @@ func (s SourceStats) Precision() float64 {
 // reliabilityTracker accumulates per-source outcomes. Safe for concurrent
 // use.
 type reliabilityTracker struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	//cplint:guardedby mu
 	stats map[string]*SourceStats
 }
 
@@ -65,23 +64,6 @@ func (t *reliabilityTracker) record(cands []task.Candidate, winner roadnet.Route
 			}
 		}
 	}
-}
-
-// precision returns the smoothed precision of a (possibly composite)
-// source name: the max over its constituents, so a deduplicated candidate
-// inherits its strongest provider's track record.
-func (t *reliabilityTracker) precision(source string) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	best := 0.5
-	for _, src := range strings.Split(source, "+") {
-		if s, ok := t.stats[src]; ok {
-			if p := s.Precision(); p > best {
-				best = p
-			}
-		}
-	}
-	return best
 }
 
 // snapshot returns the scoreboard sorted by source name.

@@ -59,14 +59,20 @@ func TestReliabilityCompositeSources(t *testing.T) {
 	if len(stats) != 2 {
 		t.Fatalf("composite should split into 2 sources, got %v", stats)
 	}
-	// precision() of a composite takes the strongest constituent.
+	// A later loss is charged to its provider alone.
 	tr.record([]task.Candidate{mkSrcCand("MPR", 0, 9)}, winner) // MPR loses
-	if p := tr.precision("MPR+MFP"); p <= tr.precision("MPR") {
-		t.Errorf("composite precision %v should exceed weak constituent %v",
-			p, tr.precision("MPR"))
+	want := map[string][2]int{"MFP": {1, 1}, "MPR": {0, 1}, "ws-fastest": {1, 1}}
+	for _, s := range tr.snapshot() {
+		if w := want[s.Source]; s.Wins != w[0] || s.Total != w[1] {
+			t.Errorf("%s = %d/%d, want %d/%d", s.Source, s.Wins, s.Total, w[0], w[1])
+		}
+		delete(want, s.Source)
+	}
+	if len(want) != 0 {
+		t.Errorf("sources missing from the scoreboard: %v", want)
 	}
 	// Unknown sources sit at the uninformed 0.5.
-	if p := tr.precision("unknown"); p != 0.5 {
+	if p := (SourceStats{Source: "unknown"}).Precision(); p != 0.5 {
 		t.Errorf("unknown precision = %v", p)
 	}
 }
@@ -101,32 +107,5 @@ func TestSourceStatsAccumulateThroughPipeline(t *testing.T) {
 	}
 	if total == 0 {
 		t.Error("no outcomes recorded")
-	}
-}
-
-func TestUseSourceReliabilityBoostsPriors(t *testing.T) {
-	s := scenario(t)
-	cfg := s.System.Config()
-	cfg.ReuseTruth = false
-	cfg.AgreementSim = 1.01
-	cfg.EtaConfidence = 1.01
-	cfg.UseSourceReliability = true
-	sys := New(cfg, s.Graph, s.Landmarks, s.Data, s.Pool,
-		&PopulationOracle{Data: s.Data, Sample: 30})
-
-	from, to, depart := pickOD(s)
-	_, cands, err := sys.resolveTraditional(context.Background(), Request{From: from, To: to, Depart: depart})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cands == nil {
-		t.Skip("TR resolved the request")
-	}
-	// With no history every source sits at 0.5, so priors are uniformly
-	// boosted but positive.
-	for _, c := range cands {
-		if c.Prior <= 0 {
-			t.Errorf("prior of %s = %v, want > 0 with reliability enabled", c.Source, c.Prior)
-		}
 	}
 }

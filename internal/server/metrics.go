@@ -24,8 +24,9 @@ type endpointCounters struct {
 // One mutex suffices: observations are a few ns of bookkeeping, far off the
 // request hot path compared to the pipeline work they measure.
 type metricsRegistry struct {
-	mu        sync.Mutex
-	started   time.Time
+	mu      sync.Mutex
+	started time.Time
+	//cplint:guardedby mu
 	byPattern map[string]*endpointCounters
 }
 

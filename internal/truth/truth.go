@@ -30,18 +30,21 @@ type Entry struct {
 
 // DB is the truth store. It is safe for concurrent use.
 type DB struct {
-	mu      sync.RWMutex
-	g       *roadnet.Graph
-	slots   int
+	mu    sync.RWMutex
+	g     *roadnet.Graph
+	slots int
+	//cplint:guardedby mu
 	entries []Entry
 	// byOD indexes each (from, to, slot) key's entry for exact-node lookups;
 	// Store replaces in place, so a key never has more than one entry.
+	//cplint:guardedby mu
 	byOD map[odSlot]int
 	// Spatial index for Near/Confidence: entry indices bucketed by the grid
 	// cell of the truth's *from* endpoint. Both endpoints must fall within
 	// the query radius, so indexing one endpoint already bounds the scan to
 	// nearby buckets; the to-endpoint filter runs on the survivors.
-	cell    float64
+	cell float64
+	//cplint:guardedby mu
 	buckets map[cellKey][]int
 }
 
