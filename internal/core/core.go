@@ -668,39 +668,50 @@ func (s *System) TopWorkers(lids []landmark.ID, k int, cfg worker.SelectConfig) 
 
 // agreement reports whether all candidates pairwise agree above the
 // configured similarity; if so it returns the medoid (the candidate with
-// the highest mean similarity to the others).
+// the highest mean similarity to the others). Each candidate's edge set is
+// built once, on first use, and each unordered pair is compared once; the
+// first pair below AgreementSim (or any pair, when it is NaN) ends the
+// check. The means are then summed from the symmetric matrix in the same
+// order as one row at a time.
 func (s *System) agreement(cands []task.Candidate) (task.Candidate, float64, bool) {
-	if len(cands) == 0 {
+	n := len(cands)
+	if n == 0 {
 		// Callers filter empty sets out (ErrNoCandidates), but guard the
-		// len(cands)-1 division below against future call sites.
+		// n-1 division below against future call sites.
 		return task.Candidate{}, 0, false
 	}
-	if len(cands) == 1 {
+	if n == 1 {
 		return cands[0], 1, true
 	}
-	bestIdx, bestMean := -1, -1.0
-	minSim := 1.0
-	for i := range cands {
-		var mean float64
-		for j := range cands {
-			if i == j {
-				continue
+	keys := make([]roadnet.EdgeKeys, n)
+	keys[0] = cands[0].Route.EdgeKeys()
+	sims := make([]float64, n*n)
+	for i := range n {
+		for j := i + 1; j < n; j++ {
+			if i == 0 {
+				keys[j] = cands[j].Route.EdgeKeys()
 			}
-			sim := cands[i].Route.Similarity(cands[j].Route)
-			mean += sim
-			if i < j && sim < minSim {
-				minSim = sim
+			sim := keys[i].Similarity(keys[j])
+			if !(sim >= s.cfg.AgreementSim) {
+				return task.Candidate{}, 0, false
+			}
+			sims[i*n+j], sims[j*n+i] = sim, sim
+		}
+	}
+	bestIdx, bestMean := -1, -1.0
+	for i := range n {
+		var mean float64
+		for j := range n {
+			if i != j {
+				mean += sims[i*n+j]
 			}
 		}
-		mean /= float64(len(cands) - 1)
+		mean /= float64(n - 1)
 		if mean > bestMean {
 			bestMean, bestIdx = mean, i
 		}
 	}
-	if minSim >= s.cfg.AgreementSim {
-		return cands[bestIdx], bestMean, true
-	}
-	return task.Candidate{}, 0, false
+	return cands[bestIdx], bestMean, true
 }
 
 // crowdTask is a generated crowd task with its workers claimed: what

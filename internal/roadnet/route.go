@@ -2,7 +2,8 @@ package roadnet
 
 import (
 	"fmt"
-	"strings"
+	"slices"
+	"strconv"
 
 	"crowdplanner/internal/geo"
 )
@@ -27,18 +28,18 @@ func (r Route) Source() NodeID { return r.Nodes[0] }
 // Dest returns the last node; it panics on a node-less route.
 func (r Route) Dest() NodeID { return r.Nodes[len(r.Nodes)-1] }
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer: the node IDs in decimal, joined by "→",
+// in brackets.
 func (r Route) String() string {
-	var sb strings.Builder
-	sb.WriteByte('[')
+	b := make([]byte, 0, 2+8*len(r.Nodes))
+	b = append(b, '[')
 	for i, n := range r.Nodes {
 		if i > 0 {
-			sb.WriteString("→")
+			b = append(b, "→"...)
 		}
-		fmt.Fprintf(&sb, "%d", n)
+		b = strconv.AppendInt(b, int64(n), 10)
 	}
-	sb.WriteByte(']')
-	return sb.String()
+	return string(append(b, ']'))
 }
 
 // Equal reports whether two routes visit exactly the same node sequence.
@@ -127,37 +128,53 @@ func (r Route) Polyline(g *Graph) geo.Polyline {
 	return pl
 }
 
-// edgeSet returns the set of undirected node pairs traversed, encoded as
-// int64 keys. Used by similarity.
-func (r Route) edgeSet() map[int64]struct{} {
-	s := make(map[int64]struct{}, len(r.Nodes))
+// EdgeKeys is a route's set of undirected edges: each traversed node pair
+// (a, b) with a <= b encoded as int64(a)<<32 | uint32(b), sorted ascending,
+// every pair once.
+type EdgeKeys []int64
+
+// EdgeKeys returns the route's undirected edge set.
+func (r Route) EdgeKeys() EdgeKeys {
+	if len(r.Nodes) < 2 {
+		return nil
+	}
+	keys := make(EdgeKeys, 0, len(r.Nodes)-1)
 	for i := 1; i < len(r.Nodes); i++ {
 		a, b := r.Nodes[i-1], r.Nodes[i]
 		if a > b {
 			a, b = b, a
 		}
-		s[int64(a)<<32|int64(uint32(b))] = struct{}{}
+		keys = append(keys, int64(a)<<32|int64(uint32(b)))
 	}
-	return s
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
+
+// Similarity returns the Jaccard similarity of two edge sets, in [0,1],
+// counting the intersection by one merge over the sorted keys. Two empty
+// sets are fully similar.
+func (a EdgeKeys) Similarity(b EdgeKeys) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	inter := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			inter++
+			i++
+			j++
+		}
+	}
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
 // Similarity returns the Jaccard similarity of the undirected edge sets of
 // the two routes, in [0,1]. Two empty routes are fully similar.
 func (r Route) Similarity(o Route) float64 {
-	a := r.edgeSet()
-	b := o.edgeSet()
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	inter := 0
-	for k := range a {
-		if _, ok := b[k]; ok {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
+	return r.EdgeKeys().Similarity(o.EdgeKeys())
 }

@@ -90,27 +90,40 @@ func congestedMinutes(e *roadnet.Edge, factor float64) float64 {
 	return e.BaseTravelMinutes()*factor + float64(e.Lights)*lightPenaltyMinutes
 }
 
-// TravelTimeCache evaluates TravelTimeCost with the hour of day and both
-// congestion factors memoised for the last departure time seen. A search
-// costs every out-edge of a settled node at the same time t+dist[u], so each
-// settled node pays for them once instead of once per relaxed edge. Cost is
-// bit-identical to TravelTimeCost.Cost. The zero value is ready to use; a
-// TravelTimeCache is not safe for concurrent use.
+// TravelTimeCache evaluates TravelTimeCost with the clock memoised for the
+// last departure time seen: the hour of day and the congestion factor's
+// shared part once per time, each class's own peak only when an edge of
+// that class is first priced at it. A search costs every out-edge of a
+// settled node at the same time t+dist[u], so each settled node pays for
+// the clock once instead of once per relaxed edge. Cost is bit-identical to
+// TravelTimeCost.Cost. The zero value is ready to use; a TravelTimeCache is
+// not safe for concurrent use.
 type TravelTimeCache struct {
-	t            SimTime
-	valid        bool
-	major, minor float64
+	t                    SimTime
+	valid                bool
+	hour, shared         float64
+	major, minor         float64 // the class factors, once haveMajor/haveMinor
+	haveMajor, haveMinor bool
 }
 
 // Cost returns TravelTimeCost.Cost(e, t).
+//
+//cplint:hotpath
 func (c *TravelTimeCache) Cost(e *roadnet.Edge, t SimTime) float64 {
 	if !c.valid || t != c.t {
-		h := t.HourOfDay()
 		c.t, c.valid = t, true
-		c.major, c.minor = CongestionFactor(h, true), CongestionFactor(h, false)
+		c.hour = t.HourOfDay()
+		c.shared = sharedCongestion(c.hour)
+		c.haveMajor, c.haveMinor = false, false
 	}
 	if e.Class >= roadnet.Arterial {
+		if !c.haveMajor {
+			c.major, c.haveMajor = c.shared+classPeak(c.hour, true), true
+		}
 		return congestedMinutes(e, c.major)
+	}
+	if !c.haveMinor {
+		c.minor, c.haveMinor = c.shared+classPeak(c.hour, false), true
 	}
 	return congestedMinutes(e, c.minor)
 }

@@ -103,6 +103,11 @@ func search(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t SimTime,
 // absent exact cost ties between distinct optimal paths, the same prev
 // tree — as Dijkstra.
 //
+// TravelTimeCost is priced through the workspace's TravelTimeCache: every
+// out-edge of a settled node departs at the same time, so the clock and the
+// congestion factors are evaluated once per settled node, with the same
+// bits as TravelTimeCost.Cost.
+//
 //cplint:hotpath
 func searchShared(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t SimTime, mcpm float64, ws *searchSpace, useBans bool, prep *Preprocessed, lb []float64) ([]roadnet.NodeID, float64, error) {
 	n := g.NumNodes()
@@ -138,6 +143,7 @@ func searchShared(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t Si
 		}
 	}
 
+	_, timed := cost.(travelTimeCost)
 	epoch := ws.beginSearch()
 	var pushes uint64
 
@@ -183,7 +189,12 @@ func searchShared(g *roadnet.Graph, src, dst roadnet.NodeID, cost CostFunc, t Si
 			if useBans && ws.banned(v) {
 				continue
 			}
-			c := cost.Cost(e, td)
+			var c float64
+			if timed {
+				c = ws.tt.Cost(e, td)
+			} else {
+				c = cost.Cost(e, td)
+			}
 			if c < 0 {
 				c = 0
 			}

@@ -35,8 +35,28 @@ func (t SimTime) Normalize() SimTime {
 	return SimTime(m)
 }
 
-// MinuteOfDay returns the (fractional) minute of day in [0, 1440).
+// MinuteOfDay returns the (fractional) minute of day in [0, 1440): the bits
+// of math.Mod(float64(t.Normalize()), 1440) for every t.
+//
+// Inside the first week (0 < t < 1 week, which is every time a search
+// prices) it skips both fmod calls. Normalize is the identity there, and
+// fmod returns the exact remainder t − q·1440 with q = ⌊t/1440⌋. k =
+// ⌊fl(t/1440)⌋ is q or q+1: rounding is monotonic and 1440·q ≤ t. k·1440 is
+// an integer below 2^14, so t − k·1440 is a multiple of t's ulp no larger
+// than t in magnitude and is computed exactly; it is negative exactly when
+// k = q+1, and then t − (k−1)·1440 is the remainder, again exactly. −0,
+// negative times, times of a week or more, NaN and ±Inf keep the fmod
+// path.
 func (t SimTime) MinuteOfDay() float64 {
+	x := float64(t)
+	if 0 < x && x < MinutesPerWeek {
+		k := math.Floor(x / MinutesPerDay)
+		r := x - k*MinutesPerDay
+		if r < 0 {
+			r = x - (k-1)*MinutesPerDay
+		}
+		return r
+	}
 	return math.Mod(float64(t.Normalize()), MinutesPerDay)
 }
 
@@ -78,16 +98,31 @@ func (t SimTime) String() string {
 // between two places genuinely changes with the time of day. This is the
 // phenomenon that motivates time-period popular-route mining (Luo et al.
 // [13]) and the truth database's time tags.
+//
+// The factor is the shared part every class sees plus the class's own peak,
+// added in that order; TravelTimeCache evaluates the two parts separately
+// with the same operations, so its factors carry the same bits.
 func CongestionFactor(hour float64, major bool) float64 {
-	peak := func(center, width, height float64) float64 {
-		d := hour - center
-		return height * math.Exp(-d*d/(2*width*width))
-	}
-	base := 1.0 + peak(8, 1.2, 0.5) + peak(17.5, 1.5, 0.5)
+	return sharedCongestion(hour) + classPeak(hour, major)
+}
+
+// sharedCongestion is the part of the congestion factor every road class
+// sees: free flow plus both commuting peaks.
+func sharedCongestion(hour float64) float64 {
+	return 1.0 + peak(hour, 8, 1.2, 0.5) + peak(hour, 17.5, 1.5, 0.5)
+}
+
+// classPeak is a road class's own peak: the morning commute jams the
+// arterials, evening errands jam the side streets.
+func classPeak(hour float64, major bool) float64 {
 	if major {
-		base += peak(8, 1.0, 0.9) // morning commute jams the arterials
-	} else {
-		base += peak(17.5, 1.2, 0.9) // evening errands jam the side streets
+		return peak(hour, 8, 1.0, 0.9)
 	}
-	return base
+	return peak(hour, 17.5, 1.2, 0.9)
+}
+
+// peak is a Gaussian bump of the given height and width centred on center.
+func peak(hour, center, width, height float64) float64 {
+	d := hour - center
+	return height * math.Exp(-d*d/(2*width*width))
 }

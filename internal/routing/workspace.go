@@ -53,6 +53,10 @@ type searchSpace struct {
 	hseen []uint32
 	hval  []float64
 
+	// tt prices TravelTimeCost searches with the clock memoised per
+	// departure time (see searchShared).
+	tt TravelTimeCache
+
 	// ALT state: the per-query active landmarks (indices into the
 	// Preprocessed slabs) with their forward/reverse distances at the
 	// destination, filled by Preprocessed.activate. altHsrc is the

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"crowdplanner/internal/roadnet"
 	"crowdplanner/internal/routing"
@@ -260,81 +259,223 @@ func apportion(total int, weights []float64, wsum float64) []int {
 // whoever happened to be generated first and making the verdict depend on
 // slice order.
 //
-// The poll computes the destination bound (three reverse sweeps from to)
-// once and shares it with every driver's search, and runs the drivers on
-// min(GOMAXPROCS, sample) goroutines, the caller among them. Votes are
-// tallied in sample order, so the verdict does not depend on scheduling.
+// The poll stops once its verdict is fixed (see poll): the route returned
+// is always the mode of the full sample, with the same tie-break.
 func (ds *Dataset) GroundTruth(from, to roadnet.NodeID, t routing.SimTime, sampleDrivers int) (roadnet.Route, error) {
+	r, _, err := ds.poll(from, to, t, sampleDrivers)
+	return r, err
+}
+
+// pollStats is the work one poll did: decided is the length of the tallied
+// prefix of the sample at which the verdict was fixed (the sample size when
+// it never was), searched the number of drivers whose route was searched.
+type pollStats struct{ decided, searched int }
+
+// poll is GroundTruth reporting its work.
+//
+// Stopping rule. Votes are tallied in sample order. After a prefix of p of
+// the N sampled drivers, the poll is decided when the leader's votes minus
+// the runner-up's exceed N − p, the drivers not yet tallied (a driver with
+// no route is tallied with no vote). Then even if every remaining driver
+// voted for the runner-up it would end below the leader, and any other
+// route further below, so the full poll's mode is the leader and its
+// smallest-Route.String() tie-break cannot fire. Once decided, the poll
+// stays decided with the same leader: each further driver lowers the margin
+// by at most one while the drivers left drop by one. So p*, the first
+// decided prefix, fixes the verdict. A poll never decided runs to N and
+// takes the mode with its tie-break.
+//
+// Schedule. The tasks are the three destination sweeps (the bound every
+// driver's search shares, see destBound), then the drivers in sample
+// order, claimed in that order by min(GOMAXPROCS, N) workers, the caller
+// among them. Driver i is searched only once every sweep is done and the
+// prefix [0, i−W+1) is tallied and undecided, with the window W = 2 ×
+// workers. The searched drivers are therefore exactly [0, min(N,
+// p*+W−1)), however the workers are scheduled: the routing work of a poll
+// is a function of (OD, t, sample, GOMAXPROCS). Drivers still in flight
+// when the verdict is fixed finish before poll returns.
+func (ds *Dataset) poll(from, to roadnet.NodeID, t routing.SimTime, sampleDrivers int) (roadnet.Route, pollStats, error) {
 	drivers := ds.ranked
 	if sampleDrivers > 0 && sampleDrivers < len(drivers) {
 		drivers = drivers[:sampleDrivers]
 	}
 	g := ds.Graph
-	bound, err := ds.weights.to(g, to)
-	if err != nil { // to is not a node: no driver finds a route
-		return roadnet.Route{}, routing.ErrNoRoute
+	if to < 0 || int(to) >= g.NumNodes() || len(drivers) == 0 {
+		return roadnet.Route{}, pollStats{}, routing.ErrNoRoute
 	}
-	routes := make([]roadnet.Route, len(drivers)) // empty: the driver found no route
-	var next atomic.Int64
-	poll := func() {
-		h := make([]float64, g.NumNodes())
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(drivers) {
-				return
-			}
-			if r, err := drivers[i].preferredRoute(g, from, to, t, bound, h); err == nil {
-				routes[i] = r
-			}
-		}
+	workers := min(runtime.GOMAXPROCS(0), len(drivers))
+	p := &pollState{
+		ds: ds, from: from, to: to, t: t, drivers: drivers, window: 2 * workers,
+		routes: make([]roadnet.Route, len(drivers)), ready: make([]bool, len(drivers)),
+		stop: len(drivers), decided: len(drivers),
+	}
+	p.cond.L = &p.mu
+	for i := range p.bound {
+		p.bound[i] = make([]float64, g.NumNodes())
 	}
 	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(drivers)) - 1 {
+	for range workers - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			poll()
+			p.work()
 		}()
 	}
-	poll()
+	p.work()
 	wg.Wait()
-	return mode(routes)
+	// Every worker has returned, so the poll's fields are settled.
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := pollStats{decided: p.decided, searched: p.stop}
+	r, err := p.votes.mode()
+	return r, st, err
 }
 
-// mode returns the most common non-empty route, ties going to the smallest
+// pollState is one poll's shared state; see poll for the schedule.
+type pollState struct {
+	ds      *Dataset
+	from    roadnet.NodeID
+	to      roadnet.NodeID
+	t       routing.SimTime
+	drivers []*Driver
+	window  int
+	bound   destBound // filled by the sweep tasks; read by drivers once swept == len(bound)
+
+	mu   sync.Mutex
+	cond sync.Cond // broadcast when the sweeps finish, the frontier advances or the poll is decided
+	//cplint:guardedby mu
+	next int // the next task: k < len(bound) is sweep k, else driver k − len(bound)
+	//cplint:guardedby mu
+	swept int
+	//cplint:guardedby mu
+	routes []roadnet.Route // routes[i] is driver i's route, empty for no route
+	//cplint:guardedby mu
+	ready []bool
+	//cplint:guardedby mu
+	frontier int // drivers [0, frontier) are tallied
+	//cplint:guardedby mu
+	stop int // drivers [0, stop) are searched: N until decided, then min(N, p*+W−1)
+	//cplint:guardedby mu
+	decided int // p*, N until decided
+	//cplint:guardedby mu
+	votes tally
+}
+
+// work claims and runs tasks until none is left to claim.
+func (p *pollState) work() {
+	g := p.ds.Graph
+	var h []float64 // the driver searches' heuristic scratch
+	nb := len(p.bound)
+	p.mu.Lock()
+	for {
+		if k := p.next; k < nb {
+			p.next++
+			p.mu.Unlock()
+			// to is a node (checked by poll) and the slices are graph-sized,
+			// so the sweep cannot fail.
+			_ = routing.DistancesTo(g, p.ds.weights[k], p.to, p.bound[k])
+			p.mu.Lock()
+			p.swept++
+			if p.swept == nb {
+				p.cond.Broadcast()
+			}
+			continue
+		}
+		i := p.next - nb
+		if i >= p.stop {
+			break
+		}
+		if p.swept < nb || i-p.window+1 > p.frontier {
+			p.cond.Wait()
+			continue
+		}
+		p.next++
+		p.mu.Unlock()
+		if h == nil {
+			h = make([]float64, g.NumNodes())
+		}
+		r, err := p.drivers[i].preferredRoute(g, p.from, p.to, p.t, p.bound, h)
+		p.mu.Lock()
+		if err == nil {
+			p.routes[i] = r
+		}
+		p.ready[i] = true
+		if p.advance() {
+			p.cond.Broadcast()
+		}
+	}
+	p.mu.Unlock()
+}
+
+// advance tallies the drivers ready at the frontier in sample order until
+// the poll is decided, reporting whether the frontier moved. Called with mu
+// held.
+func (p *pollState) advance() bool {
+	n := len(p.drivers)
+	moved := false
+	for p.decided == n && p.frontier < n && p.ready[p.frontier] {
+		p.votes.add(p.routes[p.frontier])
+		p.frontier++
+		moved = true
+		if p.votes.margin() > n-p.frontier {
+			p.decided = p.frontier
+			p.stop = min(n, p.frontier+p.window-1)
+		}
+	}
+	return moved
+}
+
+// tally counts votes per distinct route, in first-vote order.
+type tally struct {
+	buckets []bucket
+}
+
+type bucket struct {
+	route roadnet.Route
+	votes int
+}
+
+// add counts one driver's vote; an empty route is no vote.
+func (t *tally) add(r roadnet.Route) {
+	if len(r.Nodes) == 0 {
+		return
+	}
+	for i := range t.buckets {
+		if t.buckets[i].route.Equal(r) {
+			t.buckets[i].votes++
+			return
+		}
+	}
+	t.buckets = append(t.buckets, bucket{route: r, votes: 1})
+}
+
+// margin returns the leader's votes minus the runner-up's (the leader's
+// votes when there is one route, 0 when there is none).
+func (t *tally) margin() int {
+	top, second := 0, 0
+	for _, b := range t.buckets {
+		if b.votes > top {
+			top, second = b.votes, top
+		} else if b.votes > second {
+			second = b.votes
+		}
+	}
+	return top - second
+}
+
+// mode returns the most voted route, ties going to the smallest
 // Route.String() (the order the string-keyed tally used to sort its keys
 // in); the strings are built only when there is a tie.
-func mode(routes []roadnet.Route) (roadnet.Route, error) {
-	type bucket struct {
-		route roadnet.Route
-		votes int
-	}
-	var buckets []bucket
-	top := 0
-tally:
-	for _, r := range routes {
-		if len(r.Nodes) == 0 {
-			continue
-		}
-		for i := range buckets {
-			if buckets[i].route.Equal(r) {
-				buckets[i].votes++
-				top = max(top, buckets[i].votes)
-				continue tally
-			}
-		}
-		buckets = append(buckets, bucket{route: r, votes: 1})
-		top = max(top, 1)
-	}
+func (t *tally) mode() (roadnet.Route, error) {
 	var best *bucket
 	var bestKey string
-	for i := range buckets {
-		b := &buckets[i]
-		if b.votes < top {
+	for i := range t.buckets {
+		b := &t.buckets[i]
+		if best == nil || b.votes > best.votes {
+			best, bestKey = b, ""
 			continue
 		}
-		if best == nil {
-			best = b
+		if b.votes < best.votes {
 			continue
 		}
 		if bestKey == "" {

@@ -400,15 +400,19 @@ func TestCorpusGolden(t *testing.T) {
 	}
 }
 
-// BenchmarkGroundTruth times one poll of 60 drivers on the default world
-// for cold-crowd-style requests: uniform ODs, departures across the week.
+// BenchmarkGroundTruth times one poll of a 60-driver sample on the default
+// world for cold-crowd-style requests: uniform ODs, departures across the
+// week. drivers/op is the number of driver searches per verdict.
 func BenchmarkGroundTruth(b *testing.B) {
 	ds := world(false)
 	ods := pollODs(ds.Graph, 512, 1)
+	searched := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		od := ods[i%len(ods)]
-		_, _ = ds.GroundTruth(od.from, od.to, od.t, 60)
+		_, st, _ := ds.poll(od.from, od.to, od.t, 60)
+		searched += st.searched
 	}
+	b.ReportMetric(float64(searched)/float64(b.N), "drivers/op")
 }
