@@ -1,8 +1,9 @@
 // Package analysis is CrowdPlanner's project-invariant static-analysis
 // framework: the machinery behind cmd/cplint. It type-checks the module with
-// nothing but the standard library (go/parser + go/types, package discovery
-// via `go list -json`, stdlib imports via the source importer) and runs a
-// catalogue of project-specific analyzers over the typed syntax trees.
+// nothing but the standard library (one `go list -deps -export` listing,
+// stdlib imports from the compiler's export data, module packages through
+// go/parser + go/types) and runs a catalogue of project-specific analyzers
+// over the typed syntax trees.
 //
 // The analyzers exist because CrowdPlanner's correctness rests on invariants
 // that ordinary tests only sample: bit-identical deterministic replay (sorted

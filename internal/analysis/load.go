@@ -3,68 +3,63 @@ package analysis
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/scanner"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
 // Loader discovers, parses, and type-checks packages of the surrounding
-// module. It shells out to `go list -json` for package discovery (the one
-// piece of toolchain knowledge — build tags, module resolution — not worth
-// reimplementing), parses with go/parser, and type-checks module packages
-// itself in dependency order so intra-module imports resolve to already
-// checked packages; only standard-library imports fall through to the
-// go/importer source importer. Everything is stdlib: the module stays free
-// of external dependencies, x/tools included.
+// module in one ordered pass over a `go list -deps -export -e -json`
+// listing, which names every package after its dependencies. Standard-library
+// packages come from the compiler's export data (the files the listing
+// names), read through one gc importer so every package sees the same
+// *types.Package for, say, "context"; module packages are parsed with
+// go/parser and type-checked from source, in listing order, one at a time.
+// Everything is stdlib: the module stays free of external dependencies,
+// x/tools included.
 //
-// Checking is parallel across the topological levels of the package DAG:
-// packages with no unchecked intra-module dependencies check concurrently
-// (shared FileSet — internally locked — and a serialized stdlib importer),
-// then the next level, and so on. A package that fails to parse or
-// type-check no longer aborts the load: it is reported as a LoadError, its
-// dependents fail with their own import errors, and everything else is
-// analyzed normally — one syntax error must not hide every real finding in
-// the rest of the tree.
+// A package that fails to parse or type-check does not abort the load: it
+// is reported as a LoadError, its dependents fail with their own import
+// errors, and everything else is analyzed normally — one syntax error must
+// not hide every real finding in the rest of the tree. The listing's -e flag
+// carries the same contract to patterns that match nothing.
 //
 // Test files (*_test.go) are not analyzed: the invariants guard production
 // determinism and lock discipline, and tests legitimately use wall clocks,
 // throwaway goroutines, and unsorted iteration.
+//
+// A Loader is not safe for concurrent use.
 type Loader struct {
 	// Dir is the working directory for `go list`; empty means the process
 	// working directory. It must sit inside the module under analysis.
 	Dir string
 
-	fset *token.FileSet
-	std  types.ImporterFrom
-
-	mu       sync.Mutex                // guards checked, failed, pkgs, timings, inflight
-	checked  map[string]*types.Package // import path -> checked module package
-	failed   map[string]error          // import path -> why it could not load
-	pkgs     map[string]*Package       // import path -> full analysis package
-	timings  []Timing                  // per-package check wall time
-	fixtures map[string]string         // import path -> fixture directory
-	inflight map[string]chan struct{}  // paths being loaded on demand
-
-	stdMu  sync.Mutex // serializes the (not thread-safe) source importer
-	modMu  sync.Mutex // guards module
-	module string     // module path, e.g. "crowdplanner"
+	fset     *token.FileSet
+	std      types.Importer      // export-data importer over exports
+	exports  map[string]string   // standard-library import path -> export data file
+	pkgs     map[string]*Package // import path -> checked module or fixture package
+	failed   map[string]error    // import path -> why it could not load
+	fixtures map[string]string   // import path -> fixture directory
+	checking map[string]bool     // packages being type-checked, for cycle detection
+	timings  []Timing            // `go list` and per-package check wall times
 }
 
 // LoadError is one package that could not be loaded: a parse failure, a type
-// error, or a dependency that failed before it.
+// error, a dependency that failed before it, or a pattern `go list` could not
+// resolve.
 type LoadError struct {
 	Path string // import path of the broken package
 	Pos  token.Position
@@ -80,21 +75,23 @@ func (e LoadError) Error() string {
 
 // NewLoader returns a loader rooted at dir ("" = current directory).
 func NewLoader(dir string) *Loader {
-	// The source importer reads stdlib from $GOROOT/src through go/build;
-	// with cgo disabled go/build selects the pure-Go file sets (netgo &c.),
-	// which always type-check. Analyzed module code is cgo-free either way.
-	build.Default.CgoEnabled = false
-	fset := token.NewFileSet()
-	return &Loader{
+	l := &Loader{
 		Dir:      dir,
-		fset:     fset,
-		std:      importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		checked:  make(map[string]*types.Package),
-		failed:   make(map[string]error),
+		fset:     token.NewFileSet(),
+		exports:  make(map[string]string),
 		pkgs:     make(map[string]*Package),
+		failed:   make(map[string]error),
 		fixtures: make(map[string]string),
-		inflight: make(map[string]chan struct{}),
+		checking: make(map[string]bool),
 	}
+	l.std = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file := l.exports[path]
+		if file == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+	return l
 }
 
 // RegisterFixture maps an import path to a source directory, letting
@@ -102,16 +99,12 @@ func NewLoader(dir string) *Loader {
 // invisible to `go list` (the analysistest module harness uses this to build
 // multi-package fixture modules).
 func (l *Loader) RegisterFixture(asPath, dir string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.fixtures[asPath] = dir
 }
 
-// Timings returns the per-package check durations recorded by the last Load,
-// sorted by decreasing duration.
+// Timings returns the `go list` and per-package check durations recorded so
+// far, sorted by decreasing duration.
 func (l *Loader) Timings() []Timing {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	out := append([]Timing(nil), l.timings...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Duration > out[j].Duration })
 	return out
@@ -122,17 +115,25 @@ type listPkg struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
+	Export     string
+	Standard   bool
+	DepOnly    bool
+	Error      *struct{ Err string }
 }
 
-// goList runs `go list -json` over the patterns and decodes the stream.
-func (l *Loader) goList(patterns []string) ([]*listPkg, error) {
-	args := append([]string{"list", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
+// list runs `go list -deps -export -e -json` over the patterns and walks the
+// listing in its order, dependencies first: a standard-library package
+// records its export data file, a module package is checked from source, and
+// a package `go list` could not load records its error. It returns the
+// packages the patterns matched themselves (not DepOnly).
+func (l *Loader) list(patterns ...string) ([]*listPkg, error) {
+	start := time.Now()
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-export", "-e", "-json"}, patterns...)...)
 	cmd.Dir = l.Dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
+	l.timings = append(l.timings, Timing{Name: "go list", Duration: time.Since(start)})
 	if err != nil {
 		msg := strings.TrimSpace(stderr.String())
 		if msg == "" {
@@ -140,112 +141,54 @@ func (l *Loader) goList(patterns []string) ([]*listPkg, error) {
 		}
 		return nil, fmt.Errorf("go list %s: %s", strings.Join(patterns, " "), msg)
 	}
-	var pkgs []*listPkg
+	var matched []*listPkg
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for dec.More() {
 		p := new(listPkg)
 		if err := dec.Decode(p); err != nil {
 			return nil, fmt.Errorf("decoding go list output: %w", err)
 		}
-		pkgs = append(pkgs, p)
+		switch {
+		case p.Standard:
+			l.exports[p.ImportPath] = p.Export
+		case l.resolvable(p.ImportPath):
+			// loaded by an earlier listing, or being checked right now
+		case len(p.GoFiles) > 0:
+			l.check(p.ImportPath, p.Dir, p.GoFiles)
+		case p.Error != nil:
+			l.failed[p.ImportPath] = errors.New(p.Error.Err)
+		}
+		if !p.DepOnly {
+			matched = append(matched, p)
+		}
 	}
-	return pkgs, nil
-}
-
-// modulePath resolves (and caches) the path of the module rooted at l.Dir.
-func (l *Loader) modulePath() (string, error) {
-	l.modMu.Lock()
-	defer l.modMu.Unlock()
-	if l.module != "" {
-		return l.module, nil
-	}
-	cmd := exec.Command("go", "list", "-m")
-	cmd.Dir = l.Dir
-	out, err := cmd.Output()
-	if err != nil {
-		return "", fmt.Errorf("go list -m: %w", err)
-	}
-	l.module = strings.TrimSpace(string(out))
-	return l.module, nil
+	return matched, nil
 }
 
 // Load discovers the packages matching the patterns, type-checks them (and
-// any module-internal dependencies) level-parallel in dependency order, and
-// returns the loadable ones in deterministic import-path order plus a
-// LoadError per package that failed. The returned error is non-nil only when
-// discovery itself failed and nothing could be attempted.
+// any module-internal dependencies) in dependency order, and returns the
+// ones the patterns matched in import-path order plus a LoadError per
+// matched package that failed. The returned error is non-nil only when
+// `go list` itself failed and nothing could be attempted.
 func (l *Loader) Load(patterns ...string) ([]*Package, []LoadError, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	listed, err := l.goList(patterns)
+	matched, err := l.list(patterns...)
 	if err != nil {
 		return nil, nil, err
 	}
-	byPath := make(map[string]*listPkg, len(listed))
-	for _, p := range listed {
-		if len(p.GoFiles) > 0 { // test-only or empty packages: nothing to analyze
-			byPath[p.ImportPath] = p
-		}
-	}
-
-	// Topological levels over the intra-listing import edges: level 0 has no
-	// unchecked listed dependencies, level n+1 depends only on levels ≤ n.
-	// `go list` output is acyclic, so the peeling terminates.
-	depth := make(map[string]int, len(byPath))
-	var level func(p *listPkg) int
-	level = func(p *listPkg) int {
-		if d, ok := depth[p.ImportPath]; ok {
-			return d
-		}
-		depth[p.ImportPath] = 0 // breaks would-be cycles defensively
-		d := 0
-		for _, imp := range p.Imports {
-			if dep, ok := byPath[imp]; ok {
-				if ld := level(dep) + 1; ld > d {
-					d = ld
-				}
-			}
-		}
-		depth[p.ImportPath] = d
-		return d
-	}
-	maxDepth := 0
-	for _, p := range byPath {
-		if d := level(p); d > maxDepth {
-			maxDepth = d
-		}
-	}
-	levels := make([][]*listPkg, maxDepth+1)
-	for _, p := range byPath {
-		d := depth[p.ImportPath]
-		levels[d] = append(levels[d], p)
-	}
-
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for _, lvl := range levels {
-		var wg sync.WaitGroup
-		for _, p := range lvl {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				l.checkRecorded(p.ImportPath, p.Dir, p.GoFiles)
-			}()
-		}
-		wg.Wait()
-	}
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var out []*Package
 	var errs []LoadError
-	for path := range byPath {
-		if pkg, ok := l.pkgs[path]; ok {
+	for _, p := range matched {
+		switch pkg, err := l.pkgs[p.ImportPath], l.failed[p.ImportPath]; {
+		case pkg != nil:
 			out = append(out, pkg)
-		} else if err := l.failed[path]; err != nil {
-			errs = append(errs, loadError(path, err))
+		case err != nil:
+			errs = append(errs, loadError(p.ImportPath, err))
+		case p.Standard:
+			errs = append(errs, LoadError{Path: p.ImportPath,
+				Err: errors.New("standard-library package: only module packages are analyzed")})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
@@ -259,80 +202,27 @@ func loadError(path string, err error) LoadError {
 	var sl scanner.ErrorList
 	var te types.Error
 	switch {
-	case asErrorList(err, &sl) && len(sl) > 0:
-		le.Pos = sl[0].Pos
-		le.Err = fmt.Errorf("%s", sl[0].Msg)
-	case asTypesError(err, &te):
-		le.Pos = te.Fset.Position(te.Pos)
-		le.Err = fmt.Errorf("%s", te.Msg)
+	case errors.As(err, &sl) && len(sl) > 0:
+		le.Pos, le.Err = sl[0].Pos, errors.New(sl[0].Msg)
+	case errors.As(err, &te):
+		le.Pos, le.Err = te.Fset.Position(te.Pos), errors.New(te.Msg)
 	}
 	return le
 }
 
-func asErrorList(err error, out *scanner.ErrorList) bool {
-	for err != nil {
-		if sl, ok := err.(scanner.ErrorList); ok {
-			*out = sl
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
-func asTypesError(err error, out *types.Error) bool {
-	for err != nil {
-		if te, ok := err.(types.Error); ok {
-			*out = te
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
-// checkRecorded runs check and records the outcome (package, failure, and
-// timing) under the loader lock. It is the concurrency-safe entry used by
-// the level-parallel loop; repeated calls for one path are cheap no-ops.
-func (l *Loader) checkRecorded(path, dir string, goFiles []string) {
-	l.mu.Lock()
-	_, done := l.pkgs[path]
-	_, bad := l.failed[path]
-	l.mu.Unlock()
-	if done || bad {
-		return
-	}
-	start := time.Now()
-	_, err := l.check(path, dir, goFiles)
-	elapsed := time.Since(start)
-	l.mu.Lock()
-	l.timings = append(l.timings, Timing{Name: path, Duration: elapsed})
-	if err != nil {
-		l.failed[path] = err
-	}
-	l.mu.Unlock()
-}
-
 // LoadDir parses and type-checks the .go files of a single directory under
-// the given import path, resolving intra-module and registered-fixture
-// imports by loading them on demand. The analysistest harness uses it to
-// check testdata fixture packages under scoping paths the analyzers react to
-// (fixture directories are invisible to `go list ./...`).
+// the given import path. Registered fixtures it imports are loaded the same
+// way; any other import it names that is not loaded yet goes through the
+// listing first. The analysistest harness uses it to check testdata fixture
+// packages under scoping paths the analyzers react to (fixture directories
+// are invisible to `go list ./...`).
 func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
-	l.mu.Lock()
-	if pkg, ok := l.pkgs[asPath]; ok {
-		l.mu.Unlock()
+	if pkg := l.pkgs[asPath]; pkg != nil {
 		return pkg, nil
 	}
-	l.mu.Unlock()
+	if err := l.failed[asPath]; err != nil {
+		return nil, err
+	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -350,12 +240,25 @@ func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
 	return l.check(asPath, dir, files)
 }
 
-// check parses and type-checks one package and caches the result. Callers at
-// the same topological level never check each other's packages, so the only
-// shared state is the file set (internally locked), the caches (l.mu), and
-// the stdlib importer (stdMu).
-func (l *Loader) check(path, dir string, goFiles []string) (*Package, error) {
+// check parses and type-checks one package and records the outcome: the
+// package, or the reason it failed, plus its wall time. Imports that are
+// neither loaded nor fixtures are listed (with their dependencies) in one
+// `go list` call before checking starts; a package in Load's own listing
+// finds every import already loaded.
+func (l *Loader) check(path, dir string, goFiles []string) (pkg *Package, err error) {
+	start := time.Now()
+	l.checking[path] = true
+	defer func() {
+		delete(l.checking, path)
+		l.timings = append(l.timings, Timing{Name: path, Duration: time.Since(start)})
+		if err != nil {
+			l.failed[path] = err
+		} else {
+			l.pkgs[path] = pkg
+		}
+	}()
 	var files []*ast.File
+	var unlisted []string
 	for _, f := range goFiles {
 		af, err := parser.ParseFile(l.fset, filepath.Join(dir, f), nil,
 			parser.ParseComments|parser.SkipObjectResolution)
@@ -363,6 +266,17 @@ func (l *Loader) check(path, dir string, goFiles []string) (*Package, error) {
 			return nil, err
 		}
 		files = append(files, af)
+		for _, spec := range af.Imports {
+			imp, _ := strconv.Unquote(spec.Path.Value) // the parser accepted the literal
+			if !l.resolvable(imp) {
+				unlisted = append(unlisted, imp)
+			}
+		}
+	}
+	if len(unlisted) > 0 {
+		if _, err := l.list(unlisted...); err != nil {
+			return nil, err
+		}
 	}
 	var typeErrs []error
 	conf := types.Config{
@@ -379,107 +293,48 @@ func (l *Loader) check(path, dir string, goFiles []string) (*Package, error) {
 	}
 	tpkg, err := conf.Check(path, l.fset, files, info)
 	if len(typeErrs) > 0 {
-		return nil, fmt.Errorf("type-checking %s: %w", path, typeErrs[0])
+		err = typeErrs[0]
 	}
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}
-	l.mu.Lock()
-	l.checked[path] = tpkg
-	l.pkgs[path] = pkg
-	l.mu.Unlock()
-	return pkg, nil
+	return &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
-// loaderImporter resolves imports during type-checking: registered fixture
-// and module-internal paths come from the loader's already-checked set
-// (loading on demand under odMu), everything else from the stdlib source
-// importer (serialized — the source importer is not safe for concurrent
-// use).
+// resolvable reports whether an import of path can be answered without a
+// listing: it is loaded, failed, being checked, a fixture, or has export
+// data.
+func (l *Loader) resolvable(path string) bool {
+	_, std := l.exports[path]
+	_, fixture := l.fixtures[path]
+	return std || fixture || l.pkgs[path] != nil || l.failed[path] != nil || l.checking[path]
+}
+
+// loaderImporter resolves imports during type-checking: checked module and
+// fixture packages from the loader, unchecked fixtures by checking them
+// first, and standard-library packages from export data.
 type loaderImporter Loader
 
 func (li *loaderImporter) Import(path string) (*types.Package, error) {
-	return li.ImportFrom(path, "", 0)
-}
-
-func (li *loaderImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	l := (*Loader)(li)
-	l.mu.Lock()
-	p, ok := l.checked[path]
-	ferr := l.failed[path]
-	fixDir, isFixture := l.fixtures[path]
-	l.mu.Unlock()
-	if ok {
-		return p, nil
+	if _, ok := l.exports[path]; ok {
+		return l.std.Import(path)
 	}
-	if ferr != nil {
+	if l.checking[path] {
+		return nil, fmt.Errorf("import cycle through %q", path)
+	}
+	if dir, ok := l.fixtures[path]; ok {
+		pkg, err := l.LoadDir(dir, path)
+		if err != nil {
+			return nil, err
+		}
+		return pkg.Types, nil
+	}
+	if pkg := l.pkgs[path]; pkg != nil {
+		return pkg.Types, nil
+	}
+	if l.failed[path] != nil {
 		return nil, fmt.Errorf("import %q: package failed to load", path)
 	}
-	if isFixture {
-		pkg, err := l.loadOnDemand(path, func() (*Package, error) { return l.LoadDir(fixDir, path) })
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
-	}
-	if mod, err := l.modulePath(); err == nil && mod != "" &&
-		(path == mod || strings.HasPrefix(path, mod+"/")) {
-		pkg, err := l.loadOnDemand(path, func() (*Package, error) {
-			listed, err := l.goList([]string{path})
-			if err != nil {
-				return nil, err
-			}
-			if len(listed) != 1 {
-				return nil, fmt.Errorf("import %q: expected one package, got %d", path, len(listed))
-			}
-			return l.check(listed[0].ImportPath, listed[0].Dir, listed[0].GoFiles)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
-	}
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
-	return l.std.ImportFrom(path, dir, mode)
-}
-
-// loadOnDemand gates module/fixture loads triggered from inside a type-check
-// (rare: topological scheduling pre-checks listed dependencies, so this fires
-// mostly for fixtures and patterns that exclude a dependency). The per-path
-// inflight channel keeps two goroutines from checking the same package into
-// two distinct *types.Package objects — object identity across importers is
-// what the call graph keys on — while letting one goroutine recurse through
-// a chain of fixture imports without self-deadlock.
-func (l *Loader) loadOnDemand(path string, load func() (*Package, error)) (*Package, error) {
-	for {
-		l.mu.Lock()
-		if pkg, ok := l.pkgs[path]; ok {
-			l.mu.Unlock()
-			return pkg, nil
-		}
-		if err := l.failed[path]; err != nil {
-			l.mu.Unlock()
-			return nil, err
-		}
-		if ch, ok := l.inflight[path]; ok {
-			l.mu.Unlock()
-			<-ch // another goroutine is loading it; wait and re-read
-			continue
-		}
-		ch := make(chan struct{})
-		l.inflight[path] = ch
-		l.mu.Unlock()
-
-		pkg, err := load()
-		l.mu.Lock()
-		delete(l.inflight, path)
-		if err != nil && l.failed[path] == nil {
-			l.failed[path] = err
-		}
-		l.mu.Unlock()
-		close(ch)
-		return pkg, err
-	}
+	return nil, fmt.Errorf("import %q: package not found", path)
 }

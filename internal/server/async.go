@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 
@@ -84,15 +83,15 @@ func (s *Server) handleRecommendAsync(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RecommendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: %v", err)
+	if !decodeBody(w, r, maxBodyBytes, &req) {
 		return
 	}
-	resp, ticket, err := s.sys.RecommendAsync(r.Context(), core.Request{
-		From: req.From, To: req.To,
-		Depart:      routing.SimTime(req.DepartMin),
-		DeadlineMin: req.DeadlineMin,
-	})
+	creq, err := req.coreRequest()
+	if err != nil {
+		writeCoreErr(w, r, err)
+		return
+	}
+	resp, ticket, err := s.sys.RecommendAsync(r.Context(), creq)
 	if err != nil {
 		writeCoreErr(w, r, err)
 		return
@@ -159,8 +158,7 @@ func (s *Server) handleTaskAnswer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AnswerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: %v", err)
+	if !decodeBody(w, r, maxBodyBytes, &req) {
 		return
 	}
 	resp, err := s.sys.SubmitAnswer(p.ID, worker.ID(req.Worker), req.Yes)

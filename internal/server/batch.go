@@ -1,13 +1,8 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
 	"net/http"
 	"sync"
-
-	"crowdplanner/internal/core"
-	"crowdplanner/internal/routing"
 )
 
 const (
@@ -16,9 +11,6 @@ const (
 	// batchParallel bounds how many items of one batch run through the core
 	// at once.
 	batchParallel = 8
-	// maxBatchBodyBytes bounds the batch request body; batchMaxItems full
-	// items fit in a small fraction of this.
-	maxBatchBodyBytes = 4 << 20
 )
 
 // BatchRecommendRequest is the POST /v1/recommend/batch body: up to
@@ -50,18 +42,8 @@ type BatchRecommendResponse struct {
 // overhead for bulk clients. The request context covers the whole batch: a
 // disconnect cancels in-flight items and fails the rest as cancelled.
 func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
-	// The item-count check below only runs after decoding, so cap the body
-	// itself: without this a single huge request could exhaust memory.
-	body := http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)
 	var req BatchRecommendRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, r, http.StatusRequestEntityTooLarge, CodeTooLarge,
-				"request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeErr(w, r, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: %v", err)
+	if !decodeBody(w, r, maxBatchBodyBytes, &req) {
 		return
 	}
 	if len(req.Items) == 0 {
@@ -79,6 +61,11 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	sem := make(chan struct{}, batchParallel)
 	var wg sync.WaitGroup
 	for i, item := range req.Items {
+		creq, err := item.coreRequest()
+		if err != nil {
+			results[i] = failedItem(i, err)
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -86,20 +73,12 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 			case sem <- struct{}{}:
 				defer func() { <-sem }()
 			case <-ctx.Done():
-				status, code := classify(ctx.Err())
-				results[i] = BatchItemResult{Index: i, Status: status,
-					Error: &ErrorBody{Code: code, Message: ctx.Err().Error()}}
+				results[i] = failedItem(i, ctx.Err())
 				return
 			}
-			resp, err := s.sys.Recommend(ctx, core.Request{
-				From: item.From, To: item.To,
-				Depart:      routing.SimTime(item.DepartMin),
-				DeadlineMin: item.DeadlineMin,
-			})
+			resp, err := s.sys.Recommend(ctx, creq)
 			if err != nil {
-				status, code := classify(err)
-				results[i] = BatchItemResult{Index: i, Status: status,
-					Error: &ErrorBody{Code: code, Message: err.Error()}}
+				results[i] = failedItem(i, err)
 				return
 			}
 			results[i] = BatchItemResult{Index: i, Status: http.StatusOK,
@@ -117,4 +96,11 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// failedItem is item i's result for err, with the status and code the item
+// would have received standalone.
+func failedItem(i int, err error) BatchItemResult {
+	status, code := classify(err)
+	return BatchItemResult{Index: i, Status: status, Error: &ErrorBody{Code: code, Message: err.Error()}}
 }

@@ -192,17 +192,17 @@ type TaskInfo struct {
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var req RecommendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: %v", err)
+	if !decodeBody(w, r, maxBodyBytes, &req) {
+		return
+	}
+	creq, err := req.coreRequest()
+	if err != nil {
+		writeCoreErr(w, r, err)
 		return
 	}
 	// r.Context() is cancelled when the client disconnects: the pipeline
 	// aborts candidate fan-out and the crowd loop instead of burning CPU.
-	resp, err := s.sys.Recommend(r.Context(), core.Request{
-		From: req.From, To: req.To,
-		Depart:      routing.SimTime(req.DepartMin),
-		DeadlineMin: req.DeadlineMin,
-	})
+	resp, err := s.sys.Recommend(r.Context(), creq)
 	if err != nil {
 		writeCoreErr(w, r, err)
 		return

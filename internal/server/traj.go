@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -52,8 +51,7 @@ func (s *Server) handleIngestTrajectories(w http.ResponseWriter, r *http.Request
 		return
 	}
 	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, CodeInvalidJSON, "invalid JSON: %v", err)
+	if !decodeBody(w, r, maxIngestBodyBytes, &req) {
 		return
 	}
 	if len(req.Trips) == 0 {

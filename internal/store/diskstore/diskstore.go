@@ -64,6 +64,12 @@ var (
 	worldMagic    = [6]byte{'C', 'P', 'W', 'R', 'L', 'D'}
 )
 
+// maxDecisions bounds a task's decision positions on replay. A task asks
+// one question per level of its task tree, a handful in practice; a larger
+// position is corruption, and growing the decision list to it could
+// allocate gigabytes.
+const maxDecisions = 1 << 10
+
 // WAL record types.
 const (
 	recTruth        = byte(1)
@@ -420,6 +426,9 @@ func applyRecord(typ byte, payload []byte, st *store.State, open map[int64]*stor
 	case recTaskDecision:
 		id, index, yes := r.i64(), int(r.u32()), r.bool()
 		if r.err == nil {
+			if index >= maxDecisions {
+				return fmt.Errorf("diskstore: wal task %d decision at position %d, limit %d", id, index, maxDecisions)
+			}
 			if t := open[id]; t != nil {
 				t.Decisions = store.SetDecision(t.Decisions, index, yes)
 			}

@@ -121,17 +121,20 @@ func (s *State) FoldEvents() {
 		s.sortWorkers()
 		return
 	}
-	byID := make(map[int32]*WorkerState, len(s.Workers))
+	// Indices, not pointers: appending a new worker may move the slice,
+	// and an event through a stale pointer would be lost.
+	byID := make(map[int32]int, len(s.Workers))
 	for i := range s.Workers {
-		byID[s.Workers[i].ID] = &s.Workers[i]
+		byID[s.Workers[i].ID] = i
 	}
 	for _, ev := range s.WorkerEvents {
-		w := byID[ev.Worker]
-		if w == nil {
+		wi, ok := byID[ev.Worker]
+		if !ok {
+			wi = len(s.Workers)
 			s.Workers = append(s.Workers, WorkerState{ID: ev.Worker})
-			w = &s.Workers[len(s.Workers)-1]
-			byID[ev.Worker] = w
+			byID[ev.Worker] = wi
 		}
+		w := &s.Workers[wi]
 		w.Reward = ev.RewardBalance
 		hi := -1
 		for i := range w.History {
