@@ -12,7 +12,6 @@ import (
 
 	"crowdplanner"
 	"crowdplanner/internal/core"
-	"crowdplanner/internal/popular"
 	"crowdplanner/internal/routing"
 )
 
@@ -37,27 +36,20 @@ func main() {
 			log.Fatal(err)
 		}
 
-		shortest, _, _ := routing.ShortestPath(g, from, to, routing.DistanceCost, slot.depart)
-		fastest, _, _ := routing.ShortestPath(g, from, to, routing.TravelTimeCost, slot.depart)
-		fmt.Printf("  %-14s %5.1f km  %5.1f min  similarity to drivers' choice %.2f\n",
-			"ws-shortest", shortest.Length(g)/1000,
-			routing.TravelMinutes(g, shortest, slot.depart), shortest.Similarity(truth))
-		fmt.Printf("  %-14s %5.1f km  %5.1f min  similarity to drivers' choice %.2f\n",
-			"ws-fastest", fastest.Length(g)/1000,
-			routing.TravelMinutes(g, fastest, slot.depart), fastest.Similarity(truth))
-
-		for _, m := range []popular.Miner{popular.NewMPR(), popular.NewLDR(), popular.NewMFP()} {
-			r, _, err := m.Mine(scn.Data, from, to, slot.depart)
+		req := core.Request{From: from, To: to, Depart: slot.depart}
+		for _, p := range core.Providers() {
+			rs, err := p.Propose(scn.System, req)
 			if err != nil {
-				fmt.Printf("  %-14s (not enough data: %v)\n", m.Name(), err)
+				fmt.Printf("  %-14s (no route: %v)\n", p.Name, err)
 				continue
 			}
+			r := rs[0] // the provider's own route; alternatives follow it
 			fmt.Printf("  %-14s %5.1f km  %5.1f min  similarity to drivers' choice %.2f\n",
-				m.Name(), r.Length(g)/1000,
+				p.Name, r.Length(g)/1000,
 				routing.TravelMinutes(g, r, slot.depart), r.Similarity(truth))
 		}
 
-		resp, err := scn.System.Recommend(context.Background(), core.Request{From: from, To: to, Depart: slot.depart})
+		resp, err := scn.System.Recommend(context.Background(), req)
 		if err != nil {
 			log.Fatal(err)
 		}

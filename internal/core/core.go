@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -76,8 +78,6 @@ type Config struct {
 	AgreementSim float64
 	// ReuseTruth toggles the reuse-truth component (E7 ablation).
 	ReuseTruth bool
-	// TruthSlots quantizes departure times for truth tags.
-	TruthSlots int
 	// TruthRadius and TruthSlotTol bound which truths count as "near" a
 	// request when scoring confidence.
 	TruthRadius  float64
@@ -136,7 +136,6 @@ func DefaultConfig() Config {
 		EtaConfidence:         0.75,
 		AgreementSim:          0.8,
 		ReuseTruth:            true,
-		TruthSlots:            24,
 		TruthRadius:           600,
 		TruthSlotTol:          1,
 		KShortestAlternatives: 2,
@@ -192,7 +191,6 @@ type System struct {
 	data      *traj.Dataset
 	truth     *truth.DB
 	pool      *worker.Pool
-	miners    []popular.Miner
 	oracle    Oracle
 	routes    *routecache.Cache[[]task.Candidate] // generated candidates by OD+slot
 
@@ -258,9 +256,8 @@ func New(cfg Config, g *roadnet.Graph, lms *landmark.Set, data *traj.Dataset, po
 		graph:     g,
 		landmarks: lms,
 		data:      data,
-		truth:     truth.NewDB(g, cfg.TruthSlots, cfg.TruthRadius),
+		truth:     truth.NewDB(g, cfg.TruthRadius),
 		pool:      pool,
-		miners:    []popular.Miner{popular.NewMPR(), popular.NewLDR(), popular.NewMFP()},
 		oracle:    oracle,
 		routes:    routecache.New[[]task.Candidate](cfg.RouteCacheCapacity),
 		reliance:  newReliabilityTracker(),
@@ -411,12 +408,6 @@ func (s *System) Candidates(ctx context.Context, req Request) ([]task.Candidate,
 	return s.generateCandidates(ctx, req)
 }
 
-// proposal is one provider's route suggestion.
-type proposal struct {
-	source string
-	route  roadnet.Route
-}
-
 // cacheKey quantizes a request to its route-cache key, using the truth
 // database's slot granularity so cache invalidation lines up with truth
 // tags.
@@ -424,7 +415,7 @@ func (s *System) cacheKey(req Request) routecache.Key {
 	return routecache.Key{
 		From: int64(req.From),
 		To:   int64(req.To),
-		Slot: req.Depart.Slot(s.cfg.TruthSlots),
+		Slot: req.Depart.Slot(truth.Slots),
 	}
 }
 
@@ -436,22 +427,31 @@ type flight struct {
 	err   error
 }
 
-// generateCandidates returns the calibrated candidate set for a request:
-// from the route cache when warm, otherwise via computeCandidates behind a
-// per-key singleflight — N concurrent requests for one cold OD+slot cost
-// one fan-out of graph searches and miners; the followers wait for the
-// leader and copy its result (counted in coalesced). A follower whose
-// leader failed (typically the leader's own context was cancelled) retries
-// from the top: re-check the cache, then race to become the next leader.
+// generateCandidates returns the caller's own copy of the calibrated
+// candidate set for a request. Callers fill in priors; the set itself is
+// shared by the route cache and the request's flight, which never modify it.
 func (s *System) generateCandidates(ctx context.Context, req Request) ([]task.Candidate, error) {
+	shared, err := s.sharedCandidates(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]task.Candidate, len(shared))
+	copy(out, shared)
+	return out, nil
+}
+
+// sharedCandidates returns the candidate set from the route cache when
+// warm, otherwise via computeCandidates behind a per-key singleflight — N
+// concurrent requests for one cold OD+slot cost one fan-out of graph
+// searches and miners; the followers wait for the leader and share its
+// result (counted in coalesced). A follower whose leader failed (typically
+// the leader's own context was cancelled) retries from the top: re-check
+// the cache, then race to become the next leader.
+func (s *System) sharedCandidates(ctx context.Context, req Request) ([]task.Candidate, error) {
 	key := s.cacheKey(req)
 	for {
 		if cached, ok := s.routes.Get(key); ok {
-			// Candidates are value structs; hand back a fresh slice so callers
-			// can fill in priors without mutating the shared cached copy.
-			out := make([]task.Candidate, len(cached))
-			copy(out, cached)
-			return out, nil
+			return cached, nil
 		}
 		if err := ctx.Err(); err != nil {
 			// Abort before any graph search or mining runs.
@@ -477,9 +477,7 @@ func (s *System) generateCandidates(ctx context.Context, req Request) ([]task.Ca
 			if f.err != nil {
 				continue // leader failed; retry as a potential leader
 			}
-			out := make([]task.Candidate, len(f.cands))
-			copy(out, f.cands)
-			return out, nil
+			return f.cands, nil
 		}
 
 		f.cands, f.err = s.computeCandidates(ctx, req, key)
@@ -487,14 +485,7 @@ func (s *System) generateCandidates(ctx context.Context, req Request) ([]task.Ca
 		delete(s.flights, key)
 		s.flightMu.Unlock()
 		close(f.done)
-		if f.err != nil {
-			return nil, f.err
-		}
-		// The leader also hands back a copy: its caller fills in priors,
-		// and followers may still be copying from f.cands.
-		out := make([]task.Candidate, len(f.cands))
-		copy(out, f.cands)
-		return out, nil
+		return f.cands, f.err
 	}
 }
 
@@ -503,12 +494,61 @@ func (s *System) generateCandidates(ctx context.Context, req Request) ([]task.Ca
 // singleflight counter surfaced on GET /v1/health).
 func (s *System) CoalescedRequests() uint64 { return s.coalesced.Load() }
 
-// computeCandidates collects routes from the web-service providers and the
-// popular-route miners, calibrates them to landmark-based form, and dedups
-// identical node sequences (merging provenance). The providers are
-// independent pure searches, so they fan out across goroutines; the merge
-// happens in a fixed provider order, keeping the result identical to a
-// sequential run. Generated sets are cached by (from, to, depart-slot) so
+// Provider is one entry of the candidate provider table: a route provider of
+// the route generation component (paper Fig. 1).
+type Provider struct {
+	// Name is the source label of the provider's own route.
+	Name string
+	// Propose runs the provider for req over s's substrates: the provider's
+	// own route first, its alternatives after it.
+	Propose func(s *System, req Request) ([]roadnet.Route, error)
+	alt     string // the i-th alternative's source label is alt followed by i
+}
+
+// providers is the candidate provider table in merge order: the web
+// service's shortest and fastest routes, then the popular-route miners. The
+// web-service searches are goal-directed: the landmark lower bounds are
+// admissible, so each returns the same route as plain Dijkstra while
+// settling a fraction of the graph. ws-fastest is the first route of one
+// Yen call (KShortest's first route is AStar's), and the routes after it
+// are the web service's alternatives, ws-alt1, ws-alt2, ….
+var providers = [...]Provider{
+	{Name: "ws-shortest", Propose: func(s *System, req Request) ([]roadnet.Route, error) {
+		return single(s.prepDist.AStar(req.From, req.To, req.Depart))
+	}},
+	{Name: "ws-fastest", alt: "ws-alt", Propose: func(s *System, req Request) ([]roadnet.Route, error) {
+		rs, _, err := s.prepTime.KShortest(req.From, req.To, max(s.cfg.KShortestAlternatives, 0)+1, req.Depart)
+		return rs, err
+	}},
+	mined(popular.NewMPR()),
+	mined(popular.NewLDR()),
+	mined(popular.NewMFP()),
+}
+
+// mined is the table entry of a popular-route miner over the system's
+// trajectory corpus.
+func mined(m popular.Miner) Provider {
+	return Provider{Name: m.Name(), Propose: func(s *System, req Request) ([]roadnet.Route, error) {
+		return single(m.Mine(s.data, req.From, req.To, req.Depart))
+	}}
+}
+
+// single is the proposal of a provider that returns one route.
+func single(r roadnet.Route, _ float64, err error) ([]roadnet.Route, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []roadnet.Route{r}, nil
+}
+
+// Providers returns the candidate provider table in merge order, as the
+// caller's copy.
+func Providers() []Provider { return slices.Clone(providers[:]) }
+
+// computeCandidates collects the routes of every provider, calibrates them
+// to landmark-based form, and dedups identical node sequences: a route
+// proposed twice keeps its first position and lists every proposer in
+// table order. Generated sets are cached by (from, to, depart-slot) so
 // repeat OD pairs skip graph search entirely.
 func (s *System) computeCandidates(ctx context.Context, req Request, key routecache.Key) ([]task.Candidate, error) {
 	proposals := s.proposeRoutes(ctx, req)
@@ -519,95 +559,52 @@ func (s *System) computeCandidates(ctx context.Context, req Request, key routeca
 	}
 
 	var cands []task.Candidate
-	seen := map[string]int{}
-	for _, p := range proposals {
-		rk := p.route.String()
-		if i, ok := seen[rk]; ok {
-			cands[i].Source += "+" + p.source
-			continue
+	for pi, routes := range proposals {
+		for i, r := range routes {
+			src := providers[pi].Name
+			if i > 0 {
+				src = providers[pi].alt + strconv.Itoa(i)
+			}
+			if j := slices.IndexFunc(cands, func(c task.Candidate) bool { return c.Route.Equal(r) }); j >= 0 {
+				cands[j].Source += "+" + src
+				continue
+			}
+			cands = append(cands, task.Candidate{
+				Source: src,
+				Route:  r,
+				LRoute: calibrate.Calibrate(s.graph, s.landmarks, r, s.cfg.Calibrate),
+			})
 		}
-		seen[rk] = len(cands)
-		cands = append(cands, task.Candidate{
-			Source: p.source,
-			Route:  p.route,
-			LRoute: calibrate.Calibrate(s.graph, s.landmarks, p.route, s.cfg.Calibrate),
-		})
 	}
 	if len(cands) > 0 {
-		s.routes.Put(key, append([]task.Candidate(nil), cands...))
+		s.routes.Put(key, cands)
 	}
 	return cands, nil
 }
 
-// proposeRoutes runs every route provider concurrently — the two
-// shortest-path searches, the k-shortest alternatives, and the
-// popular-route miners — and returns their proposals merged in the fixed
-// provider order (deterministic regardless of goroutine scheduling). All
-// providers are read-only over immutable substrates, so no locking is
-// needed. Each fan-out goroutine re-checks the context before starting its
-// search, so a cancelled request skips every provider that has not yet been
-// scheduled; the caller detects the cancellation and discards the partial
-// merge.
-func (s *System) proposeRoutes(ctx context.Context, req Request) []proposal {
-	slots := make([][]proposal, 3+len(s.miners))
+// proposeRoutes runs the provider table concurrently, one goroutine per
+// entry, and returns each provider's routes at its table index, so the merge
+// order is independent of goroutine scheduling. Every provider is a pure
+// read over immutable substrates, so no locking is needed. Each goroutine
+// re-checks the context before it starts, so a cancelled request skips every
+// provider not yet scheduled; the caller detects the cancellation and
+// discards the partial result.
+func (s *System) proposeRoutes(ctx context.Context, req Request) [][]roadnet.Route {
+	out := make([][]roadnet.Route, len(providers))
 	var wg sync.WaitGroup
-	run := func(i int, f func() []proposal) {
+	for i, p := range providers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			if ctx.Err() != nil {
 				return
 			}
-			slots[i] = f()
+			if rs, err := p.Propose(s, req); err == nil {
+				out[i] = rs
+			}
 		}()
 	}
-	run(0, func() []proposal {
-		// Goal-directed: the landmark lower bounds are admissible, so the
-		// search returns the same route as plain Dijkstra while settling a
-		// fraction of the graph.
-		if r, _, err := s.prepDist.AStar(req.From, req.To, req.Depart); err == nil {
-			return []proposal{{"ws-shortest", r}}
-		}
-		return nil
-	})
-	run(1, func() []proposal {
-		if r, _, err := s.prepTime.AStar(req.From, req.To, req.Depart); err == nil {
-			return []proposal{{"ws-fastest", r}}
-		}
-		return nil
-	})
-	run(2, func() []proposal {
-		k := s.cfg.KShortestAlternatives
-		if k <= 0 {
-			return nil
-		}
-		rs, _, err := s.prepTime.KShortest(req.From, req.To, k+1, req.Depart)
-		if err != nil {
-			return nil
-		}
-		var out []proposal
-		for i, r := range rs {
-			if i == 0 {
-				continue // same as ws-fastest
-			}
-			out = append(out, proposal{fmt.Sprintf("ws-alt%d", i), r})
-		}
-		return out
-	})
-	for mi, m := range s.miners {
-		run(3+mi, func() []proposal {
-			if r, _, err := m.Mine(s.data, req.From, req.To, req.Depart); err == nil {
-				return []proposal{{m.Name(), r}}
-			}
-			return nil
-		})
-	}
 	wg.Wait()
-
-	var out []proposal
-	for _, ps := range slots {
-		out = append(out, ps...)
-	}
 	return out
 }
 
@@ -877,7 +874,7 @@ func (s *System) storeTruth(req Request, route roadnet.Route, conf float64, byCr
 	}
 	e := truth.Entry{
 		From: req.From, To: req.To,
-		Slot:       req.Depart.Slot(s.cfg.TruthSlots),
+		Slot:       req.Depart.Slot(truth.Slots),
 		Route:      route,
 		Confidence: conf,
 		Crowd:      byCrowd,
@@ -896,7 +893,7 @@ func (s *System) storeTruth(req Request, route roadnet.Route, conf float64, byCr
 	// off), where it absorbs the repeat graph searches.
 	if byCrowd {
 		key := s.cacheKey(req)
-		slots, tol := s.cfg.TruthSlots, s.cfg.TruthSlotTol
+		slots, tol := truth.Slots, s.cfg.TruthSlotTol
 		if tol < 0 {
 			tol = 0
 		}

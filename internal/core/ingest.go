@@ -9,6 +9,7 @@ import (
 	"crowdplanner/internal/routing"
 	"crowdplanner/internal/store"
 	"crowdplanner/internal/traj"
+	"crowdplanner/internal/truth"
 )
 
 // Live trajectory ingestion: the paper's "large-scale real trajectory
@@ -100,7 +101,7 @@ func (s *System) invalidateTripODs(trips []traj.Trajectory) {
 			continue
 		}
 		seen[k] = true
-		for slot := 0; slot < s.cfg.TruthSlots; slot++ {
+		for slot := range truth.Slots {
 			s.routes.Invalidate(routecache.Key{From: int64(k.from), To: int64(k.to), Slot: slot})
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"crowdplanner/internal/roadnet"
 	"crowdplanner/internal/routing"
 	"crowdplanner/internal/traj"
+	"crowdplanner/internal/truth"
 )
 
 // freshScenario builds a private world — the ingest tests mutate the corpus,
@@ -147,7 +148,7 @@ func TestCrowdTruthInvalidatesAdjacentSlots(t *testing.T) {
 	from, to, depart := pickOD(s)
 
 	// Warm the cache for the slot adjacent to the commit slot.
-	slotMinutes := 24.0 * 60 / float64(sys.cfg.TruthSlots)
+	slotMinutes := 24.0 * 60 / float64(truth.Slots)
 	adjacent := Request{From: from, To: to, Depart: depart.Add(slotMinutes)}
 	if _, err := sys.Candidates(context.Background(), adjacent); err != nil {
 		t.Fatal(err)

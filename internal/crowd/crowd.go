@@ -145,25 +145,14 @@ type TaskRun struct {
 // stop. The rewarding component hangs off this hook.
 type QuestionHook func(l landmark.ID, answers []Answer, used int)
 
-// RunTask walks the task's ID3 tree: at every internal node the assigned
+// RunTaskCtx walks the task's ID3 tree: at every internal node the assigned
 // workers answer the node's question, Aggregate decides the branch, and the
 // walk continues until a leaf resolves the task. truthSet is the landmark
-// membership of the (simulated) true best route.
-func RunTask(t *task.Task, workers []worker.Ranked, truthSet map[landmark.ID]bool, fam FamiliarityFn, model AnswerModel, earlyStop float64, rng *rand.Rand) TaskRun {
-	return RunTaskHooked(t, workers, truthSet, fam, model, earlyStop, rng, nil)
-}
-
-// RunTaskHooked is RunTask with a per-question observer (may be nil).
-func RunTaskHooked(t *task.Task, workers []worker.Ranked, truthSet map[landmark.ID]bool, fam FamiliarityFn, model AnswerModel, earlyStop float64, rng *rand.Rand, hook QuestionHook) TaskRun {
-	run, _ := RunTaskCtx(context.Background(), t, workers, truthSet, fam, model, earlyStop, rng, hook)
-	return run
-}
-
-// RunTaskCtx is RunTaskHooked under a context: cancellation (or a passed
-// deadline) is observed between questions, so a caller whose client has
-// disconnected stops simulating the crowd. On cancellation it returns the
-// partial run together with ctx.Err(); rewards already granted for completed
-// questions stand.
+// membership of the (simulated) true best route; hook observes each answered
+// question (may be nil). Cancellation (or a passed deadline) is observed
+// between questions, so a caller whose client has disconnected stops
+// simulating the crowd. On cancellation it returns the partial run together
+// with ctx.Err(); rewards already granted for completed questions stand.
 func RunTaskCtx(ctx context.Context, t *task.Task, workers []worker.Ranked, truthSet map[landmark.ID]bool, fam FamiliarityFn, model AnswerModel, earlyStop float64, rng *rand.Rand, hook QuestionHook) (TaskRun, error) {
 	run := TaskRun{MinConfidence: 1}
 	node := t.Tree

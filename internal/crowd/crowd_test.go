@@ -1,6 +1,7 @@
 package crowd
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -193,7 +194,7 @@ func TestRunTaskResolvesWithGoodWorkers(t *testing.T) {
 	trials := 0
 	for truthIdx := 0; truthIdx < 4; truthIdx++ {
 		for rep := 0; rep < 25; rep++ {
-			run := RunTask(tk, workers, truths[truthIdx], constFam(5), DefaultAnswerModel(), 0.9, rng)
+			run, _ := RunTaskCtx(context.Background(), tk, workers, truths[truthIdx], constFam(5), DefaultAnswerModel(), 0.9, rng, nil)
 			trials++
 			if run.Resolved == truthIdx {
 				hits++
@@ -217,9 +218,9 @@ func TestRunTaskEarlyStopReducesAnswers(t *testing.T) {
 	sumWith, sumWithout := 0, 0
 	for rep := 0; rep < 40; rep++ {
 		rng := rand.New(rand.NewSource(int64(rep)))
-		runWith := RunTask(tk, workers, truths[0], constFam(5), DefaultAnswerModel(), 0.9, rng)
+		runWith, _ := RunTaskCtx(context.Background(), tk, workers, truths[0], constFam(5), DefaultAnswerModel(), 0.9, rng, nil)
 		rng = rand.New(rand.NewSource(int64(rep)))
-		runWithout := RunTask(tk, workers, truths[0], constFam(5), DefaultAnswerModel(), 0, rng)
+		runWithout, _ := RunTaskCtx(context.Background(), tk, workers, truths[0], constFam(5), DefaultAnswerModel(), 0, rng, nil)
 		sumWith += runWith.AnswersUsed
 		sumWithout += runWithout.AnswersUsed
 	}
@@ -238,10 +239,10 @@ func TestRunTaskAccuracyDropsWithUnfamiliarWorkers(t *testing.T) {
 			rngE := rand.New(rand.NewSource(int64(rep*4 + truthIdx)))
 			rngN := rand.New(rand.NewSource(int64(rep*4 + truthIdx)))
 			trials++
-			if RunTask(tk, expert, truths[truthIdx], constFam(5), DefaultAnswerModel(), 0.9, rngE).Resolved == truthIdx {
+			if run, _ := RunTaskCtx(context.Background(), tk, expert, truths[truthIdx], constFam(5), DefaultAnswerModel(), 0.9, rngE, nil); run.Resolved == truthIdx {
 				expertHits++
 			}
-			if RunTask(tk, novice, truths[truthIdx], constFam(0), DefaultAnswerModel(), 0.9, rngN).Resolved == truthIdx {
+			if run, _ := RunTaskCtx(context.Background(), tk, novice, truths[truthIdx], constFam(0), DefaultAnswerModel(), 0.9, rngN, nil); run.Resolved == truthIdx {
 				noviceHits++
 			}
 		}

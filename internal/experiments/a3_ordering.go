@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"crowdplanner/internal/crowd"
 )
 
@@ -51,7 +53,8 @@ func AblationOrdering(numTasks int) *Table {
 		rev.expected += ct.tk.ExpectedQuestionsStatic(reverse)
 
 		rng := newRng(95_000 + int64(i))
-		run := crowd.RunTask(ct.tk, workers, ct.truthSet, fam, model, 0.95, rng)
+		// The simulation's only error is the context's, and Background is never cancelled.
+		run, _ := crowd.RunTaskCtx(context.Background(), ct.tk, workers, ct.truthSet, fam, model, 0.95, rng, nil)
 		id3.answers += float64(run.AnswersUsed)
 		id3.total++
 		if run.Resolved == ct.bestIdx {

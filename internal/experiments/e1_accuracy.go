@@ -4,19 +4,18 @@ import (
 	"context"
 
 	"crowdplanner/internal/core"
-	"crowdplanner/internal/popular"
 	"crowdplanner/internal/roadnet"
-	"crowdplanner/internal/routing"
 )
 
 // E1Accuracy reproduces the headline comparison (reconstructed Table E1):
-// recommendation quality per source — web-service shortest and fastest,
-// the three popular-route miners, TR-only CrowdPlanner (crowd disabled) and
-// full CrowdPlanner — on dense vs sparse trajectory regions. Quality is the
-// mean route similarity to the population ground truth and the win rate
-// (similarity ≥ 0.9). Expected shape (paper §VI): CrowdPlanner best
-// everywhere; MFP the strongest miner on dense data; miners degrade badly on
-// sparse data while CrowdPlanner holds.
+// recommendation quality per source — each candidate provider the system
+// runs (web-service shortest and fastest, the three popular-route miners),
+// TR-only CrowdPlanner (crowd disabled) and full CrowdPlanner — on dense vs
+// sparse trajectory regions. Quality is the mean route similarity to the
+// population ground truth and the win rate (similarity ≥ 0.9). Expected
+// shape (paper §VI): CrowdPlanner best everywhere; MFP the strongest miner
+// on dense data; miners degrade badly on sparse data while CrowdPlanner
+// holds.
 func E1Accuracy(odsPerRegime int) *Table {
 	scn := World()
 	tbl := &Table{
@@ -41,18 +40,6 @@ func E1Accuracy(odsPerRegime int) *Table {
 		return r, err == nil
 	}
 
-	mkMiner := func(m popular.Miner) func(core.Request) (roadnet.Route, bool) {
-		return func(req core.Request) (roadnet.Route, bool) {
-			r, _, err := m.Mine(scn.Data, req.From, req.To, req.Depart)
-			return r, err == nil
-		}
-	}
-	mkCost := func(cost routing.CostFunc) func(core.Request) (roadnet.Route, bool) {
-		return func(req core.Request) (roadnet.Route, bool) {
-			r, _, err := routing.ShortestPath(scn.Graph, req.From, req.To, cost, req.Depart)
-			return r, err == nil
-		}
-	}
 	// TR-only: full pipeline but the crowd path falls back to best prior.
 	trCfg := scn.System.Config()
 	trCfg.ReuseTruth = false
@@ -75,15 +62,18 @@ func E1Accuracy(odsPerRegime int) *Table {
 		}
 	}
 
-	methods := []method{
-		{"ws-shortest", mkCost(routing.DistanceCost)},
-		{"ws-fastest", mkCost(routing.TravelTimeCost)},
-		{"MPR", mkMiner(popular.NewMPR())},
-		{"LDR", mkMiner(popular.NewLDR())},
-		{"MFP", mkMiner(popular.NewMFP())},
-		{"TR-only", mkSystem(trOnly)},
-		{"CrowdPlanner", mkSystem(cp)},
+	// Each provider is graded on its own route, as the server proposes it.
+	var methods []method
+	for _, p := range core.Providers() {
+		methods = append(methods, method{p.Name, func(req core.Request) (roadnet.Route, bool) {
+			rs, err := p.Propose(scn.System, req)
+			if err != nil {
+				return roadnet.Route{}, false
+			}
+			return rs[0], true
+		}})
 	}
+	methods = append(methods, method{"TR-only", mkSystem(trOnly)}, method{"CrowdPlanner", mkSystem(cp)})
 
 	evaluate := func(rec func(core.Request) (roadnet.Route, bool), reqs []core.Request) (meanSim, simIfAns, winRate, answered float64) {
 		var simSum float64

@@ -149,7 +149,8 @@ func runStrategy(scn *core.Scenario, tasks []crowdTask, strat workerStrategy, k 
 			total++
 			continue
 		}
-		run := crowd.RunTaskHooked(ct.tk, workers, ct.truthSet, fam, model, 0, rng,
+		// The simulation's only error is the context's, and Background is never cancelled.
+		run, _ := crowd.RunTaskCtx(context.Background(), ct.tk, workers, ct.truthSet, fam, model, 0, rng,
 			func(_ landmark.ID, as []crowd.Answer, used int) {
 				for _, a := range as[:used] {
 					answers++

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"crowdplanner/internal/crowd"
 )
 
@@ -30,7 +32,8 @@ func E6EarlyStop(numTasks int) *Table {
 			if len(workers) == 0 {
 				continue
 			}
-			run := crowd.RunTask(ct.tk, workers, ct.truthSet, fam, model, th, rng)
+			// The simulation's only error is the context's, and Background is never cancelled.
+			run, _ := crowd.RunTaskCtx(context.Background(), ct.tk, workers, ct.truthSet, fam, model, th, rng, nil)
 			used += float64(run.AnswersUsed)
 			asked += float64(run.AnswersAsked)
 			elapsed += run.ElapsedMin

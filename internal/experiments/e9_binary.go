@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"math/rand"
 
@@ -94,14 +95,15 @@ func E9Binary(tasksPerSize int) *Table {
 			}
 			// Full aggregation (consume every answer).
 			rngB := newRng(90_000 + int64(i))
-			run := crowd.RunTask(ct.tk, workers, ct.truthSet, fam, model, 0, rngB)
+			// The simulation's only error is the context's, and Background is never cancelled.
+			run, _ := crowd.RunTaskCtx(context.Background(), ct.tk, workers, ct.truthSet, fam, model, 0, rngB, nil)
 			binAnswers += float64(run.AnswersUsed)
 			if run.Resolved == ct.bestIdx {
 				binHits++
 			}
 			// With early stop at 0.95 (the production setting).
 			rngE := newRng(90_000 + int64(i))
-			runES := crowd.RunTask(ct.tk, workers, ct.truthSet, fam, model, 0.95, rngE)
+			runES, _ := crowd.RunTaskCtx(context.Background(), ct.tk, workers, ct.truthSet, fam, model, 0.95, rngE, nil)
 			esAnswers += float64(runES.AnswersUsed)
 			if runES.Resolved == ct.bestIdx {
 				esHits++

@@ -108,16 +108,6 @@ func World() *core.Scenario {
 	return world
 }
 
-// crowdForcedConfig disables the TR gates so every request reaches the CR
-// module — used by the worker/early-stop experiments that study the crowd
-// path in isolation.
-func crowdForcedConfig(base core.Config) core.Config {
-	base.AgreementSim = 1.01
-	base.EtaConfidence = 1.01
-	base.ReuseTruth = false
-	return base
-}
-
 // denseMinTrips is the minimum corpus support for an OD pair to count as
 // "dense" in the experiments.
 const denseMinTrips = 10

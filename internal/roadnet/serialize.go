@@ -2,10 +2,7 @@ package roadnet
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-
-	"crowdplanner/internal/geo"
 )
 
 // jsonGraph is the wire form of a Graph.
@@ -46,24 +43,4 @@ func (g *Graph) Write(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(jg)
-}
-
-// ReadFrom deserializes a graph written by Write.
-func ReadFrom(r io.Reader) (*Graph, error) {
-	var jg jsonGraph
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&jg); err != nil {
-		return nil, fmt.Errorf("roadnet: decode graph: %w", err)
-	}
-	g := NewGraph(len(jg.Nodes), len(jg.Edges))
-	for _, n := range jg.Nodes {
-		g.AddNode(geo.Point{X: n.X, Y: n.Y})
-	}
-	for i, e := range jg.Edges {
-		if int(e.From) >= len(jg.Nodes) || int(e.To) >= len(jg.Nodes) || e.From < 0 || e.To < 0 {
-			return nil, fmt.Errorf("roadnet: edge %d references unknown node", i)
-		}
-		g.AddEdge(e.From, e.To, e.Class, e.Speed, e.Lights, e.Length)
-	}
-	return g, nil
 }

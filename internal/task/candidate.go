@@ -19,7 +19,7 @@ import (
 // Candidate is one candidate route under evaluation, with its landmark-based
 // form and provenance.
 type Candidate struct {
-	Source string // which provider proposed it ("shortest", "MPR", ...)
+	Source string // the providers that proposed it, joined by "+" ("MPR+MFP")
 	Route  roadnet.Route
 	LRoute calibrate.LandmarkRoute
 	// Prior is the prior probability that this candidate is the best route

@@ -36,7 +36,7 @@ func seedCity(tb testing.TB, db *DB, g *roadnet.Graph, n int) {
 // filtered by slot and endpoint distance, and the matches are stable-sorted
 // by combined endpoint distance.
 func scanNear(db *DB, g *roadnet.Graph, from, to roadnet.NodeID, t routing.SimTime, radius float64, slotTol int) []Entry {
-	slot := t.Slot(db.Slots())
+	slot := t.Slot(Slots)
 	fp, tp := g.Node(from).Pt, g.Node(to).Pt
 	type scored struct {
 		e Entry
@@ -46,7 +46,7 @@ func scanNear(db *DB, g *roadnet.Graph, from, to roadnet.NodeID, t routing.SimTi
 	for _, e := range db.Entries() {
 		df := geo.Dist(g.Node(e.From).Pt, fp)
 		dt := geo.Dist(g.Node(e.To).Pt, tp)
-		if slotDist(e.Slot, slot, db.Slots()) > slotTol || df > radius || dt > radius {
+		if slotDist(e.Slot, slot, Slots) > slotTol || df > radius || dt > radius {
 			continue
 		}
 		out = append(out, scored{e, df + dt})
@@ -64,7 +64,7 @@ func scanNear(db *DB, g *roadnet.Graph, from, to roadnet.NodeID, t routing.SimTi
 // scan returns, in the same order.
 func TestIndexedNearMatchesLinear(t *testing.T) {
 	g := roadnet.Generate(roadnet.DefaultGenConfig())
-	db := NewDB(g, 24, 600)
+	db := NewDB(g, 600)
 	seedCity(t, db, g, 3000)
 
 	rng := rand.New(rand.NewSource(9))
@@ -87,7 +87,7 @@ func TestIndexedNearMatchesLinear(t *testing.T) {
 // bit-identical to scoring against the linear scan.
 func TestIndexedConfidenceMatchesLinear(t *testing.T) {
 	g := roadnet.Generate(roadnet.DefaultGenConfig())
-	db := NewDB(g, 24, 600)
+	db := NewDB(g, 600)
 	seedCity(t, db, g, 2000)
 
 	rng := rand.New(rand.NewSource(11))
@@ -109,7 +109,7 @@ func TestIndexedConfidenceMatchesLinear(t *testing.T) {
 }
 
 func TestEntriesRange(t *testing.T) {
-	db := NewDB(corridor(), 24, 100)
+	db := NewDB(corridor(), 100)
 	for i := 0; i < 10; i++ {
 		db.Store(Entry{From: 0, To: 3, Slot: i, Route: top(), Confidence: 0.9})
 	}
@@ -140,7 +140,7 @@ func seededDB(b *testing.B) (*roadnet.Graph, *DB) {
 	if benchGraph == nil {
 		benchGraph = roadnet.Generate(roadnet.DefaultGenConfig())
 	}
-	db := NewDB(benchGraph, 24, 600)
+	db := NewDB(benchGraph, 600)
 	seedCity(b, db, benchGraph, 100_000)
 	return benchGraph, db
 }

@@ -16,12 +16,17 @@ import (
 	"crowdplanner/internal/routing"
 )
 
+// Slots is the number of daily departure-time slots a truth is tagged with
+// (the paper's "time tag"): 24 gives hourly tags. The serving core keys its
+// route cache and invalidates cached candidates with the same slots.
+const Slots = 24
+
 // Entry is one verified truth: the best route between From and To when
 // departing within time slot Slot, plus bookkeeping about how it was
 // verified.
 type Entry struct {
 	From, To   roadnet.NodeID
-	Slot       int // departure-time slot, see routing.SimTime.Slot
+	Slot       int // departure-time slot in [0, Slots), see routing.SimTime.Slot
 	Route      roadnet.Route
 	Confidence float64 // how sure the system was when storing (0..1]
 	Crowd      bool    // true if verified by crowd workers, false if by agreement
@@ -30,9 +35,8 @@ type Entry struct {
 
 // DB is the truth store. It is safe for concurrent use.
 type DB struct {
-	mu    sync.RWMutex
-	g     *roadnet.Graph
-	slots int
+	mu sync.RWMutex
+	g  *roadnet.Graph
 	//cplint:guardedby mu
 	entries []Entry
 	// byOD indexes each (from, to, slot) key's entry for exact-node lookups;
@@ -60,20 +64,16 @@ type odSlot struct {
 type cellKey struct{ cx, cy, slot int32 }
 
 // NewDB creates a truth database over g, quantizing departure times into
-// the given number of daily slots (the paper's "time tag"; 24 gives hourly
-// tags, and non-positive means 24). Truths are bucketed by the grid cell of
-// their from-endpoint, so Near (and with it Confidence) touches only the
+// Slots daily slots. Truths are bucketed by the grid cell of their
+// from-endpoint, so Near (and with it Confidence) touches only the
 // buckets overlapping the query radius. cell is the bucket edge length in
 // meters; pass the radius the system queries with (Config.TruthRadius) so a
 // query touches ~9 buckets. Non-positive cell defaults to 500m.
-func NewDB(g *roadnet.Graph, slots int, cell float64) *DB {
-	if slots <= 0 {
-		slots = 24
-	}
+func NewDB(g *roadnet.Graph, cell float64) *DB {
 	if cell <= 0 {
 		cell = 500
 	}
-	return &DB{g: g, slots: slots, cell: cell, byOD: make(map[odSlot]int), buckets: make(map[cellKey][]int)}
+	return &DB{g: g, cell: cell, byOD: make(map[odSlot]int), buckets: make(map[cellKey][]int)}
 }
 
 // cellOf maps a point and slot to the bucket key (floor division,
@@ -85,9 +85,6 @@ func (db *DB) cellOf(p geo.Point, slot int) cellKey {
 		slot: int32(slot),
 	}
 }
-
-// Slots returns the configured slot count.
-func (db *DB) Slots() int { return db.slots }
 
 // Len returns the number of stored truths.
 func (db *DB) Len() int {
@@ -104,7 +101,7 @@ func (db *DB) Len() int {
 func (db *DB) Store(e Entry) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	e.Slot = ((e.Slot % db.slots) + db.slots) % db.slots
+	e.Slot = ((e.Slot % Slots) + Slots) % Slots
 	k := odSlot{e.From, e.To, e.Slot}
 	if i, ok := db.byOD[k]; ok {
 		// Replacement keeps the entry index and the from-endpoint, so the
@@ -125,7 +122,7 @@ func (db *DB) Store(e Entry) {
 func (db *DB) Lookup(from, to roadnet.NodeID, t routing.SimTime) (Entry, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	i, ok := db.byOD[odSlot{from, to, t.Slot(db.slots)}]
+	i, ok := db.byOD[odSlot{from, to, t.Slot(Slots)}]
 	if !ok {
 		return Entry{}, false
 	}
@@ -140,7 +137,7 @@ func (db *DB) Lookup(from, to roadnet.NodeID, t routing.SimTime) (Entry, bool) {
 func (db *DB) Near(g *roadnet.Graph, from, to roadnet.NodeID, t routing.SimTime, radius float64, slotTol int) []Entry {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	slot := t.Slot(db.slots)
+	slot := t.Slot(Slots)
 	fp := g.Node(from).Pt
 	tp := g.Node(to).Pt
 	type scored struct {
@@ -153,12 +150,12 @@ func (db *DB) Near(g *roadnet.Graph, from, to roadnet.NodeID, t routing.SimTime,
 	// ties by entry index.
 	lo := db.cellOf(geo.Point{X: fp.X - radius, Y: fp.Y - radius}, 0)
 	hi := db.cellOf(geo.Point{X: fp.X + radius, Y: fp.Y + radius}, 0)
-	for _, sl := range slotWindow(slot, slotTol, db.slots) {
+	for _, sl := range slotWindow(slot, slotTol, Slots) {
 		for cy := lo.cy; cy <= hi.cy; cy++ {
 			for cx := lo.cx; cx <= hi.cx; cx++ {
 				for _, i := range db.buckets[cellKey{cx, cy, sl}] {
 					e := &db.entries[i]
-					if slotDist(e.Slot, slot, db.slots) > slotTol {
+					if slotDist(e.Slot, slot, Slots) > slotTol {
 						continue
 					}
 					df := geo.Dist(g.Node(e.From).Pt, fp)

@@ -36,7 +36,7 @@ func top() roadnet.Route    { return roadnet.NewRoute(0, 1, 2, 3) }
 func bottom() roadnet.Route { return roadnet.NewRoute(0, 4, 5, 3) }
 
 func TestStoreLookup(t *testing.T) {
-	db := NewDB(corridor(), 24, 100)
+	db := NewDB(corridor(), 100)
 	tm := routing.At(0, 9, 30)
 	db.Store(Entry{From: 0, To: 3, Slot: tm.Slot(24), Route: top(), Confidence: 0.9})
 	e, ok := db.Lookup(0, 3, tm)
@@ -57,7 +57,7 @@ func TestStoreLookup(t *testing.T) {
 }
 
 func TestLookupReturnsLatest(t *testing.T) {
-	db := NewDB(corridor(), 24, 100)
+	db := NewDB(corridor(), 100)
 	tm := routing.At(0, 9, 0)
 	db.Store(Entry{From: 0, To: 3, Slot: tm.Slot(24), Route: top(), Confidence: 0.5})
 	db.Store(Entry{From: 0, To: 3, Slot: tm.Slot(24), Route: bottom(), Confidence: 0.9})
@@ -68,7 +68,7 @@ func TestLookupReturnsLatest(t *testing.T) {
 }
 
 func TestStoreNormalizesSlot(t *testing.T) {
-	db := NewDB(corridor(), 24, 100)
+	db := NewDB(corridor(), 100)
 	db.Store(Entry{From: 0, To: 3, Slot: 25, Route: top(), Confidence: 1})
 	if _, ok := db.Lookup(0, 3, routing.At(0, 1, 30)); !ok {
 		t.Error("slot 25 should normalize to slot 1")
@@ -81,7 +81,7 @@ func TestStoreNormalizesSlot(t *testing.T) {
 
 func TestNearSpatialAndSlotFilters(t *testing.T) {
 	g := corridor()
-	db := NewDB(g, 24, 100)
+	db := NewDB(g, 100)
 	tm := routing.At(0, 9, 0)
 	db.Store(Entry{From: 0, To: 3, Slot: tm.Slot(24), Route: top(), Confidence: 1})
 
@@ -106,7 +106,7 @@ func TestNearSpatialAndSlotFilters(t *testing.T) {
 
 func TestNearOrdering(t *testing.T) {
 	g := corridor()
-	db := NewDB(g, 24, 100)
+	db := NewDB(g, 100)
 	tm := routing.At(0, 9, 0)
 	// Exact endpoints and offset endpoints.
 	db.Store(Entry{From: 6, To: 7, Slot: tm.Slot(24), Route: roadnet.NewRoute(6, 0, 1, 2, 3, 7), Confidence: 1})
@@ -122,7 +122,7 @@ func TestNearOrdering(t *testing.T) {
 
 func TestConfidenceFavorsSimilarRoute(t *testing.T) {
 	g := corridor()
-	db := NewDB(g, 24, 100)
+	db := NewDB(g, 100)
 	tm := routing.At(0, 9, 0)
 	db.Store(Entry{From: 0, To: 3, Slot: tm.Slot(24), Route: top(), Confidence: 1})
 
@@ -138,7 +138,7 @@ func TestConfidenceFavorsSimilarRoute(t *testing.T) {
 
 func TestConfidenceNoEvidence(t *testing.T) {
 	g := corridor()
-	db := NewDB(g, 24, 100)
+	db := NewDB(g, 100)
 	if got := db.Confidence(g, top(), 0, 100, 1); got != 0 {
 		t.Errorf("empty DB confidence = %v", got)
 	}
@@ -153,7 +153,7 @@ func TestConfidenceWeighsByDistanceAndTruthConfidence(t *testing.T) {
 
 	// Two truths: a near one (exact endpoints) supporting top and a far one
 	// supporting bottom. The near one should dominate.
-	db := NewDB(g, 24, 100)
+	db := NewDB(g, 100)
 	db.Store(Entry{From: 0, To: 3, Slot: tm.Slot(24), Route: top(), Confidence: 1})
 	db.Store(Entry{From: 6, To: 7, Slot: tm.Slot(24), Route: roadnet.NewRoute(6, 0, 4, 5, 3, 7), Confidence: 1})
 	cTop := db.Confidence(g, top(), tm, 200, 1)
@@ -165,7 +165,7 @@ func TestConfidenceWeighsByDistanceAndTruthConfidence(t *testing.T) {
 	// the score relative to a high-confidence supporting truth. The
 	// contrary truth sits in the neighboring slot (same key would replace)
 	// and slotTol = 1 brings both into scope.
-	db2 := NewDB(g, 24, 100)
+	db2 := NewDB(g, 100)
 	db2.Store(Entry{From: 0, To: 3, Slot: tm.Slot(24), Route: top(), Confidence: 1})
 	db2.Store(Entry{From: 0, To: 3, Slot: tm.Slot(24) + 1, Route: bottom(), Confidence: 0.05})
 	got := db2.Confidence(g, top(), tm, 100, 1)
@@ -176,7 +176,7 @@ func TestConfidenceWeighsByDistanceAndTruthConfidence(t *testing.T) {
 
 func TestStoreReplacesSameKey(t *testing.T) {
 	tm := routing.At(0, 9, 0)
-	db := NewDB(corridor(), 24, 100)
+	db := NewDB(corridor(), 100)
 	db.Store(Entry{From: 0, To: 3, Slot: tm.Slot(24), Route: top(), Confidence: 0.6})
 	db.Store(Entry{From: 0, To: 3, Slot: tm.Slot(24), Route: bottom(), Confidence: 0.9})
 	if db.Len() != 1 {
@@ -208,7 +208,7 @@ func TestSlotDist(t *testing.T) {
 }
 
 func TestEntriesCopy(t *testing.T) {
-	db := NewDB(corridor(), 24, 100)
+	db := NewDB(corridor(), 100)
 	db.Store(Entry{From: 0, To: 3, Route: top(), Confidence: 1})
 	es := db.Entries()
 	if len(es) != 1 {
@@ -221,15 +221,21 @@ func TestEntriesCopy(t *testing.T) {
 }
 
 func TestNewDBDefaultSlots(t *testing.T) {
-	db := NewDB(corridor(), 0, 0)
-	if db.Slots() != 24 {
-		t.Errorf("default slots = %d", db.Slots())
+	db := NewDB(corridor(), 0)
+	// Hourly slots: a truth stored for Tue 10:00 is reused at 10:30, and a
+	// departure in another hour is another key.
+	db.Store(Entry{From: 0, To: 3, Slot: routing.At(1, 10, 0).Slot(Slots), Route: top(), Confidence: 0.9})
+	if _, ok := db.Lookup(0, 3, routing.At(1, 10, 30)); !ok {
+		t.Error("truth for 10:00 not found at 10:30")
+	}
+	if _, ok := db.Lookup(0, 3, routing.At(1, 0, 30)); ok {
+		t.Error("truth for 10:00 found at 00:30")
 	}
 }
 
 func TestConcurrentAccess(t *testing.T) {
 	g := corridor()
-	db := NewDB(g, 24, 100)
+	db := NewDB(g, 100)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -252,7 +258,7 @@ func TestConcurrentAccess(t *testing.T) {
 
 func TestConfidenceRange(t *testing.T) {
 	g := corridor()
-	db := NewDB(g, 24, 100)
+	db := NewDB(g, 100)
 	tm := routing.At(0, 9, 0)
 	db.Store(Entry{From: 0, To: 3, Slot: tm.Slot(24), Route: top(), Confidence: 0.7})
 	db.Store(Entry{From: 0, To: 3, Slot: tm.Slot(24), Route: bottom(), Confidence: 0.7})
@@ -271,7 +277,7 @@ func TestConfidenceRange(t *testing.T) {
 // (each distinct pair gets its own Near scan, cached within the call).
 func TestConfidenceBatchMatchesSingle(t *testing.T) {
 	g := corridor()
-	db := NewDB(g, 24, 100)
+	db := NewDB(g, 100)
 	tm := routing.At(0, 9, 0)
 	db.Store(Entry{From: 0, To: 3, Slot: tm.Slot(24), Route: top(), Confidence: 0.9})
 	db.Store(Entry{From: 0, To: 3, Slot: tm.Slot(24), Route: bottom(), Confidence: 0.6})
