@@ -33,7 +33,7 @@ import (
 // mining, and persistence paths. The set is matched against the first path
 // segment after "internal/", so fixture packages checked under e.g.
 // "crowdplanner/internal/truth/fixture" scope the same way the real tree
-// does, and store subpackages (memstore, diskstore) inherit store's rules.
+// does, and store subpackages (diskstore, faultstore) inherit store's rules.
 var deterministicPkgs = map[string]bool{
 	"core":     true,
 	"routing":  true,

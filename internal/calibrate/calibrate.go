@@ -104,15 +104,6 @@ func Calibrate(g *roadnet.Graph, set *landmark.Set, r roadnet.Route, cfg Config)
 	return lr
 }
 
-// CalibrateAll rewrites every route.
-func CalibrateAll(g *roadnet.Graph, set *landmark.Set, routes []roadnet.Route, cfg Config) []LandmarkRoute {
-	out := make([]LandmarkRoute, len(routes))
-	for i, r := range routes {
-		out[i] = Calibrate(g, set, r, cfg)
-	}
-	return out
-}
-
 // TrajectoryVisits converts a trajectory corpus into traveller→landmark
 // visits for HITS significance inference: each trip by driver d that passes
 // landmark l contributes one visit, exactly as the paper couples taxi

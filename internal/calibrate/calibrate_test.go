@@ -47,6 +47,12 @@ func TestCalibrateOrdering(t *testing.T) {
 	if !ids[0] || !ids[1] || ids[2] {
 		t.Errorf("IDSet = %v", ids)
 	}
+	// Each part of the road passes only the landmark beside it.
+	head := Calibrate(g, set, roadnet.NewRoute(0, 1, 2), Config{AnchorRadius: 100})
+	tail := Calibrate(g, set, roadnet.NewRoute(3, 4), Config{AnchorRadius: 100})
+	if len(head.Landmarks) != 1 || head.Landmarks[0] != 1 || len(tail.Landmarks) != 1 || tail.Landmarks[0] != 0 {
+		t.Errorf("parts' landmarks = %v and %v, want [1] and [0]", head.Landmarks, tail.Landmarks)
+	}
 }
 
 func TestCalibrateExtent(t *testing.T) {
@@ -77,26 +83,6 @@ func TestCalibrateEmpty(t *testing.T) {
 	lr = Calibrate(g, landmark.NewSet([]*landmark.Landmark{{ID: 0}}), roadnet.Route{}, DefaultConfig())
 	if len(lr.Landmarks) != 0 {
 		t.Error("empty route -> empty calibration")
-	}
-}
-
-func TestCalibrateAll(t *testing.T) {
-	g := straightGraph()
-	ls := []*landmark.Landmark{{ID: 0, Pt: geo.Point{X: 150, Y: 10}}}
-	set := landmark.NewSet(ls)
-	routes := []roadnet.Route{
-		roadnet.NewRoute(0, 1, 2),
-		roadnet.NewRoute(3, 4),
-	}
-	lrs := CalibrateAll(g, set, routes, DefaultConfig())
-	if len(lrs) != 2 {
-		t.Fatalf("len = %d", len(lrs))
-	}
-	if !lrs[0].Contains(0) {
-		t.Error("first route should pass the landmark")
-	}
-	if lrs[1].Contains(0) {
-		t.Error("second route should not pass the landmark")
 	}
 }
 

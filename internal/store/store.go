@@ -9,10 +9,10 @@
 // Snapshot captures the full state and lets the backend compact its log, and
 // Load replays snapshot + log into a State the core re-applies on boot.
 //
-// Two backends implement the contract: memstore (process-local, the
-// adaptation of the pre-storage-layer behaviour; state evaporates with the
-// process) and diskstore (snapshot + append-only WAL with a versioned
-// on-disk format, CRC-guarded records and fsync'd appends).
+// Two backends implement the contract: Discard (process-local; appends are
+// counted and nothing is retained, so state evaporates with the process)
+// and diskstore (snapshot + append-only WAL with a versioned on-disk
+// format, CRC-guarded records and fsync'd appends).
 //
 // Record types use plain integers and floats rather than the domain types of
 // the truth/worker/task packages: the storage layer owns its wire vocabulary
@@ -155,7 +155,7 @@ func (s *State) FoldEvents() {
 }
 
 // SetDecision writes a task decision at its 0-based position, growing the
-// slice as needed — the idempotent replay primitive shared by the backends.
+// slice as needed — the idempotent primitive diskstore's replay applies.
 func SetDecision(decisions []bool, index int, yes bool) []bool {
 	if index < 0 {
 		return decisions
@@ -271,9 +271,8 @@ type WorldVerifier interface {
 
 // Discard returns the backend used when no Store is configured: appends are
 // counted for observability but nothing is retained. There is nothing to
-// restore in a process-local deployment, so retaining records (as memstore
-// does for its replay contract) would only grow memory without bound in
-// long-lived servers and benchmarks.
+// restore in a process-local deployment, so retaining records would only
+// grow memory without bound in long-lived servers and benchmarks.
 func Discard() Store {
 	return &discard{stats: Stats{Backend: "none"}}
 }

@@ -150,10 +150,10 @@ func (db *DB) Near(g *roadnet.Graph, from, to roadnet.NodeID, t routing.SimTime,
 	// ties by entry index.
 	lo := db.cellOf(geo.Point{X: fp.X - radius, Y: fp.Y - radius}, 0)
 	hi := db.cellOf(geo.Point{X: fp.X + radius, Y: fp.Y + radius}, 0)
-	for _, sl := range slotWindow(slot, slotTol, Slots) {
+	for _, sl := range SlotWindow(slot, slotTol) {
 		for cy := lo.cy; cy <= hi.cy; cy++ {
 			for cx := lo.cx; cx <= hi.cx; cx++ {
-				for _, i := range db.buckets[cellKey{cx, cy, sl}] {
+				for _, i := range db.buckets[cellKey{cx, cy, int32(sl)}] {
 					e := &db.entries[i]
 					if slotDist(e.Slot, slot, Slots) > slotTol {
 						continue
@@ -181,25 +181,17 @@ func (db *DB) Near(g *roadnet.Graph, from, to roadnet.NodeID, t routing.SimTime,
 	return res
 }
 
-// slotWindow lists the distinct slots within tol circular steps of slot, in
-// ascending order (the bucket scan's visit order is immaterial, but a fixed
-// order keeps iteration deterministic).
-func slotWindow(slot, tol, slots int) []int32 {
-	if tol < 0 {
-		tol = 0
-	}
-	if 2*tol+1 >= slots {
-		out := make([]int32, slots)
-		for i := range out {
-			out[i] = int32(i)
+// SlotWindow lists the slots within tol circular steps of slot, a slot in
+// [0, Slots), in ascending order. A negative tol means 0; a tol of Slots/2
+// or more covers the whole day.
+func SlotWindow(slot, tol int) []int {
+	tol = min(max(tol, 0), Slots/2)
+	out := make([]int, 0, 2*tol+1)
+	for sl := range Slots {
+		if slotDist(sl, slot, Slots) <= tol {
+			out = append(out, sl)
 		}
-		return out
 	}
-	out := make([]int32, 0, 2*tol+1)
-	for ds := -tol; ds <= tol; ds++ {
-		out = append(out, int32(((slot+ds)%slots+slots)%slots))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -2,6 +2,7 @@ package truth
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -203,6 +204,41 @@ func TestSlotDist(t *testing.T) {
 	for _, c := range cases {
 		if got := slotDist(c.a, c.b, c.slots); got != c.want {
 			t.Errorf("slotDist(%d,%d,%d) = %d, want %d", c.a, c.b, c.slots, got, c.want)
+		}
+	}
+}
+
+func TestSlotWindow(t *testing.T) {
+	allBut := func(skip int) []int {
+		var out []int
+		for sl := range Slots {
+			if sl != skip {
+				out = append(out, sl)
+			}
+		}
+		return out
+	}
+	all := allBut(-1)
+	cases := []struct {
+		slot, tol int
+		want      []int
+	}{
+		{0, -1, []int{0}},
+		{0, 0, []int{0}},
+		{0, 1, []int{0, 1, 23}},
+		{0, 11, allBut(12)},
+		{0, 12, all},
+		{0, 30, all},
+		{23, -1, []int{23}},
+		{23, 0, []int{23}},
+		{23, 1, []int{0, 22, 23}},
+		{23, 11, allBut(11)},
+		{23, 12, all},
+		{23, 30, all},
+	}
+	for _, c := range cases {
+		if got := SlotWindow(c.slot, c.tol); !slices.Equal(got, c.want) {
+			t.Errorf("SlotWindow(%d, %d) = %v, want %v", c.slot, c.tol, got, c.want)
 		}
 	}
 }

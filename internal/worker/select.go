@@ -1,7 +1,6 @@
 package worker
 
 import (
-	"math"
 	"sort"
 
 	"crowdplanner/internal/landmark"
@@ -164,23 +163,4 @@ func Coverage(mstar *Matrix, workerIdx int, taskLandmarks []landmark.ID) float64
 		}
 	}
 	return float64(known) / float64(len(taskLandmarks))
-}
-
-// MeanScore returns the mean selection score of a ranked slice (0 for
-// empty), a convenience for experiments.
-func MeanScore(rs []Ranked) float64 {
-	if len(rs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, r := range rs {
-		sum += r.Score
-	}
-	return sum / float64(len(rs))
-}
-
-// LogNormalLambda draws a response rate around mean with the given sigma;
-// exposed for experiment workloads.
-func LogNormalLambda(mean, sigma, u float64) float64 {
-	return mean * math.Exp(sigma*u)
 }

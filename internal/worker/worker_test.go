@@ -340,16 +340,6 @@ func TestCoverage(t *testing.T) {
 	}
 }
 
-func TestMeanScore(t *testing.T) {
-	if MeanScore(nil) != 0 {
-		t.Error("empty mean should be 0")
-	}
-	rs := []Ranked{{Score: 1}, {Score: 3}}
-	if got := MeanScore(rs); got != 2 {
-		t.Errorf("mean = %v", got)
-	}
-}
-
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.Set(1, 1, 0.5)
@@ -479,7 +469,7 @@ func denseWorld(rng *rand.Rand, workers, landmarks int) (*Pool, *Matrix) {
 	for i := 0; i < workers; i++ {
 		pool.Workers = append(pool.Workers, &Worker{
 			ID:          ID(i),
-			Lambda:      LogNormalLambda(1.0/15, 0.6, rng.NormFloat64()),
+			Lambda:      1.0 / 15 * math.Exp(0.6*rng.NormFloat64()),
 			Outstanding: rng.Intn(7),
 		})
 	}
